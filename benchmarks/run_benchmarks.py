@@ -583,7 +583,8 @@ def run_service(out_dir: Path, days: int) -> Path:
     import threading
     import urllib.request
 
-    from repro.service.api import QueryService, create_server
+    from repro.service.api import QueryService
+    from repro.service.eventloop import EventLoopServer
     from repro.service.index import DomainIndex
     from repro.service.store import ArchiveStore
 
@@ -647,7 +648,7 @@ def run_service(out_dir: Path, days: int) -> Path:
 
         print("timing HTTP endpoints (cold vs cached) ...")
         service = QueryService(store)
-        server = create_server(service)
+        server = EventLoopServer(service)
         port = server.server_address[1]
         thread = threading.Thread(target=server.serve_forever, daemon=True)
         thread.start()
@@ -786,21 +787,16 @@ def run_workers(out_dir: Path, days: int, workers: int) -> Path:
     ETag), the single-process answer over the same store files —
     before AND after live ingests advance the version mid-benchmark.
 
-    A second comparison pits the pool's two reader transports against
-    each other at high connection counts: 512 concurrent keep-alive
-    connections driven by a single-threaded selectors load client,
-    against threaded readers and then against ``event_loop=True``
-    readers over the same store files.  The event loop must deliver at
-    least 1.5x the threaded pool's throughput there — idle connections
-    cost it one fd instead of one thread — with the same byte/ETag
-    identity guarantee at every shared version, live ingests included.
+    The pool is also driven at 512 concurrent pipelined keep-alive
+    connections from a single-threaded selectors load client.
     """
     import datetime
     import tempfile
     import threading
     import urllib.request
 
-    from repro.service.api import QueryService, create_server
+    from repro.service.api import QueryService
+    from repro.service.eventloop import EventLoopServer
     from repro.service.store import ArchiveStore
     from repro.service.workers import WorkerPool
 
@@ -861,7 +857,7 @@ def run_workers(out_dir: Path, days: int, workers: int) -> Path:
         print("measuring single-process baseline (both client modes) ...")
         store = ArchiveStore(store_dir, create=False)
         service = QueryService(store)
-        server = create_server(service)
+        server = EventLoopServer(service)
         port = server.server_address[1]
         threading.Thread(target=server.serve_forever, daemon=True).start()
         fetch_once(port, targets["meta"])  # warm the cache
@@ -903,6 +899,12 @@ def run_workers(out_dir: Path, days: int, workers: int) -> Path:
             results["pool"] = measure_modes(
                 pool.port, per_request_n=300, keepalive_n=1500,
                 clients=workers)
+            pipelined_connections, per_connection = 512, 16
+            results["pool"]["pipelined_512_rps"] = max(
+                _pipelined_keepalive_rps(pool.port, targets["meta"],
+                                         pipelined_connections,
+                                         per_connection)
+                for _trial in range(3))
 
             print("live ingest through the pool (forwarded to writer) ...")
             last_date = reference_store.dates("alexa")[-1]
@@ -948,90 +950,17 @@ def run_workers(out_dir: Path, days: int, workers: int) -> Path:
             }
             results["pool_topology"] = pool.describe()
 
-        # -- threaded vs event-loop readers at 512 connections ----------
-        el_connections = 512
-        el_per_connection = 16
-
-        def high_concurrency_rps(port: int) -> float:
-            """Best of three pipelined trials at ``el_connections``."""
-            return max(
-                _pipelined_keepalive_rps(port, targets["meta"],
-                                         el_connections, el_per_connection)
-                for _trial in range(3))
-
-        print(f"measuring threaded readers at {el_connections} "
-              f"keep-alive connections ...")
-        with WorkerPool(store_dir, workers=workers,
-                        poll_interval=0.05) as pool:
-            fetch_once(pool.port, targets["meta"])  # warm shared cache
-            threaded_rps = high_concurrency_rps(pool.port)
-
-        print(f"measuring event-loop readers at {el_connections} "
-              f"keep-alive connections ...")
-        with WorkerPool(store_dir, workers=workers, poll_interval=0.05,
-                        event_loop=True) as pool:
-            fetch_once(pool.port, targets["meta"])
-            event_loop_rps = high_concurrency_rps(pool.port)
-            # Identity at the current shared version, then across two
-            # more live ingests — the event loop serves the same bytes
-            # (zero-copy from the shared segment) at every version.
-            el_identity = {}
-            version = reference_store.version
-            el_identity[f"v{version}"] = assert_byte_identity(
-                pool, f"v{version}")
-            for offset in (3, 4):
-                day = last_date + datetime.timedelta(days=offset)
-                body = json.dumps({
-                    "provider": "alexa", "date": day.isoformat(),
-                    "entries": list(template[offset:] + template[:offset]),
-                }).encode("utf-8")
-                request = urllib.request.Request(
-                    f"http://127.0.0.1:{pool.port}/v1/ingest", data=body,
-                    method="POST",
-                    headers={"Content-Type": "application/json"})
-                with urllib.request.urlopen(request, timeout=60) as r:
-                    assert r.status == 200
-                version += 1
-                deadline = time.perf_counter() + 10
-                while time.perf_counter() < deadline:
-                    seen = {json.loads(fetch_once(pool.port,
-                                                  "/v1/meta")[1])
-                            ["store_version"] for _ in range(workers * 3)}
-                    if seen == {version}:
-                        break
-                el_identity[f"v{version}"] = assert_byte_identity(
-                    pool, f"v{version}")
-
-        el_speedup = event_loop_rps / threaded_rps
-        results["event_loop"] = {
-            "connections": el_connections,
-            "requests_per_connection": el_per_connection,
-            "total_requests": el_connections * el_per_connection,
-            "threaded_pool_rps": threaded_rps,
-            "event_loop_pool_rps": event_loop_rps,
-            "speedup": el_speedup,
-            "byte_identity": {
-                "versions_checked": sorted(el_identity),
-                "targets_per_version": len(targets),
-                "identical": True,  # asserted above
-            },
-        }
-
         reference_store.close()
 
     baseline_rps = results["single_process"]["per_request_rps"]
     # Best cached mode wins: the gate is the pool's serving capacity in
     # its best configuration versus the per-request single-process
-    # baseline.  The pool now has two reader transports (threaded and
-    # event-loop) and two client shapes; taking the max measures what
-    # the pool can actually serve, not harness overhead or the slower
-    # transport.
+    # baseline.  Taking the max over client shapes measures what the
+    # pool can actually serve, not harness overhead.
     pool_modes = {
         "keepalive_single": results["pool"]["keepalive_rps"],
         "keepalive_concurrent": results["pool"]["keepalive_concurrent_rps"],
-        "threaded_pipelined_512": results["event_loop"]["threaded_pool_rps"],
-        "event_loop_pipelined_512":
-            results["event_loop"]["event_loop_pool_rps"],
+        "pipelined_512": results["pool"]["pipelined_512_rps"],
     }
     pool_winning_mode = max(pool_modes, key=pool_modes.get)
     pool_rps = pool_modes[pool_winning_mode]
@@ -1060,17 +989,11 @@ def run_workers(out_dir: Path, days: int, workers: int) -> Path:
           f"req/s keep-alive x{workers} clients")
     print(f"speedup over the per-request single-process baseline: "
           f"{speedup:.1f}x (>= 5x required)")
-    event_loop_row = results["event_loop"]
-    print(f"{event_loop_row['connections']} keep-alive connections: "
-          f"threaded {event_loop_row['threaded_pool_rps']:7.0f} req/s, "
-          f"event loop {event_loop_row['event_loop_pool_rps']:7.0f} req/s "
-          f"({event_loop_row['speedup']:.2f}x, >= 1.5x required)")
+    print(f"512 pipelined keep-alive connections: "
+          f"{pool_modes['pipelined_512_rps']:7.0f} req/s")
     assert speedup >= 5.0, (
         f"pool cached throughput only {speedup:.1f}x the single-process "
         f"baseline (target: 5x)")
-    assert el_speedup >= 1.5, (
-        f"event-loop readers only {el_speedup:.2f}x the threaded pool "
-        f"at {el_connections} keep-alive connections (target: 1.5x)")
 
     artifact = {
         "kind": "worker-pool",

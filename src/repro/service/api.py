@@ -43,8 +43,9 @@ Responses carry a strong ETag (SHA-256 of the body) and honour
 repeated queries from memory and any append invalidates everything at
 once.
 
-**Consistency model.**  The service runs under ``ThreadingHTTPServer``;
-one lock guards *all* shared state — the LRU, the materialised archives
+**Consistency model.**  The service is called from several threads — the
+transport's event loop (GETs) and its POST worker, plus a follower's or
+pool reader's tailer — so one lock guards *all* shared state — the LRU, the materialised archives
 and index, and the version the cache key is derived from.  A cache key's
 version and its body are read/produced inside one continuous lock hold,
 and ``/v1/ingest`` mutates under the same lock: store append (durable,
@@ -53,15 +54,15 @@ atomic manifest publish) → incremental delta-engine extension
 :meth:`~repro.service.index.DomainIndex.add`.  Once an ingest response
 is on the wire, every subsequent read observes the new day.
 
-The HTTP layer is a hardened stdlib ``http.server`` wrapper
-(:func:`create_server`): request bodies are length-capped, chunked
-transfer is rejected up front, protocol-level failures (malformed
-request lines, overlong headers) answer with the same JSON error
-envelope as the API proper, and nothing a client sends can raise out of
-a handler thread (the server records would-be escapes in
-``server.unhandled_errors``, which the fuzz tests assert stays empty).
-All logic lives in the transport-free :meth:`QueryService.handle_request`,
-which the CLI, tests and benchmarks call directly.
+The HTTP transport is :class:`repro.service.eventloop.EventLoopServer`:
+request bodies are length-capped, chunked transfer is rejected up
+front, protocol-level failures (malformed request lines, overlong
+headers) answer with the same JSON error envelope as the API proper,
+and nothing a client sends can escape the loop (the server records
+would-be escapes in ``server.unhandled_errors``, which the fuzz tests
+assert stays empty).  All logic lives in the transport-free
+:meth:`QueryService.handle_request`, which the CLI, tests and
+benchmarks call directly.
 """
 
 from __future__ import annotations
@@ -70,19 +71,16 @@ import datetime as dt
 import hashlib
 import io
 import json
-import sys
 import threading
-import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Mapping, Optional, Sequence
 from urllib.parse import parse_qs, unquote, urlencode, urlsplit
 
 from repro import faults
 from repro.core.cache import extend_base_id_sets
 from repro.obs import logging as obslog
-from repro.obs import metrics, tracing
+from repro.obs import metrics
 from repro.core.intersection import intersection_over_time
 from repro.core.stability import (
     cumulative_unique_domains,
@@ -107,7 +105,7 @@ DEFAULT_CACHE_SIZE = 256
 #: Retained unexpected-exception detail on the service (drop-oldest).
 INTERNAL_ERRORS_CAPACITY = 16
 
-#: Retained handler-thread escapes on the server (drop-oldest).
+#: Retained transport escapes on the server (drop-oldest).
 UNHANDLED_ERRORS_CAPACITY = 64
 
 #: Largest accepted ingest/batch request body (transport and service).
@@ -164,7 +162,7 @@ _M_INTERNAL = metrics.counter(
     "Unexpected exceptions converted to 500 envelopes.")
 _M_UNHANDLED = metrics.counter(
     "repro_http_unhandled_errors_total",
-    "Exceptions that escaped a handler thread (server.unhandled_errors).")
+    "Exceptions that escaped the HTTP transport (server.unhandled_errors).")
 _M_INGEST_DAYS = metrics.counter(
     "repro_ingest_days_total", "Snapshot days ingested via POST /v1/ingest.")
 _M_INGEST_ROWS = metrics.counter(
@@ -375,7 +373,7 @@ class QueryService:
         #: (drop-oldest) so a client that can trigger 500s cannot grow
         #: server memory; ``internal_errors.dropped`` tallies evictions.
         self.internal_errors: RingLog = RingLog(INTERNAL_ERRORS_CAPACITY)
-        # Serves under ThreadingHTTPServer: one lock guards the LRU, the
+        # Called from several threads: one lock guards the LRU, the
         # materialised archives/index, AND the store-version reads the
         # cache keys derive from.  Every shared-state touch in this class
         # happens inside it — readers and the ingest writer serialise
@@ -1232,7 +1230,7 @@ class QueryService:
         empty 304.  POST routes to the ingest/batch endpoints.  This
         method never raises: errors — including unexpected ones — come
         back as JSON error-envelope responses, which is what keeps the
-        serving threads alive under fuzzed input.
+        transport alive under fuzzed input.
         """
         method = method.upper()
         if faults.ACTIVE is not None:
@@ -1280,327 +1278,3 @@ class QueryService:
             if _if_none_match_hit(if_none_match, response.headers.get("ETag")):
                 return Response(304, b"", dict(response.headers))
         return response
-
-
-class _Handler(BaseHTTPRequestHandler):
-    """Hardened HTTP adapter; all behaviour lives in :class:`QueryService`."""
-
-    service: QueryService  # bound by create_server
-    server_version = "repro-serve/1.1"
-    protocol_version = "HTTP/1.1"
-    #: Per-connection socket timeout, so a stalled client cannot pin a
-    #: handler thread forever.
-    timeout = 30
-    #: TCP_NODELAY on every accepted connection.  Keep-alive clients
-    #: otherwise hit the Nagle/delayed-ACK interaction: headers and body
-    #: go out as two sub-MSS segments, the second waits ~40 ms for the
-    #: client's delayed ACK, and a connection-reusing client measures
-    #: tens of requests per second instead of thousands.  Per-request
-    #: clients never noticed (their connection close flushed the tail).
-    disable_nagle_algorithm = True
-
-    #: Upper bound on an accepted POST body (413 beyond it, unread).
-    _MAX_BODY = MAX_BODY_BYTES
-
-    #: Upper bound on a discarded write-request body (keeps keep-alive
-    #: connections in sync without letting a client stream gigabytes).
-    _MAX_DISCARDED_BODY = 1 << 20
-
-    def _send_service_response(self, response: Response,
-                               send_body: bool = True,
-                               close: bool = False) -> None:
-        self.send_response(response.status)
-        for name, value in response.headers.items():
-            self.send_header(name, value)
-        self.send_header("Content-Length", str(len(response.body)))
-        if close:
-            # send_header also flips close_connection for the server loop.
-            self.send_header("Connection", "close")
-        self.end_headers()
-        if send_body:
-            if faults.ACTIVE is None:
-                self.wfile.write(response.body)
-            else:
-                try:
-                    # Injection point "api.response.write": a ``torn``
-                    # rule ships a body prefix, a ``drop`` rule none.
-                    faults.ACTIVE.torn_write("api.response.write",
-                                             self.wfile, response.body)
-                except faults.InjectedFault as error:
-                    # From the server's side a torn response *is* the
-                    # connection dying mid-body; map it to the shape
-                    # ``_guarded`` already handles as a client loss.
-                    raise ConnectionResetError(str(error)) from error
-
-    def _drain_request_body(self) -> bool:
-        """Discard the body of a request whose handler won't read one.
-
-        Any method may carry a body (a GET with ``Content-Length`` is
-        unusual but legal); leaving it unread would make the server
-        parse the body bytes as the *next* request line on a keep-alive
-        connection.  Returns whether the connection must close instead
-        (chunked or oversized framing that cannot be drained by length).
-        """
-        if self.headers.get("Transfer-Encoding"):
-            return True
-        declared = self.headers.get("Content-Length")
-        if declared is None:
-            return False
-        try:
-            length = int(declared)
-        except ValueError:
-            return True
-        if length < 0:
-            return True
-        pending = min(length, self._MAX_DISCARDED_BODY)
-        if pending > 0:
-            self.rfile.read(pending)
-        return length > self._MAX_DISCARDED_BODY
-
-    def _send_json_error(self, status: int, message: str,
-                         close: bool = False, allow: Optional[str] = None) -> None:
-        """A transport-level error in the same envelope the API uses."""
-        _M_ERRORS.labels(code=str(status)).inc()
-        body = json_bytes({"error": {"status": status, "message": message}})
-        self.send_response(status)
-        if allow:
-            self.send_header("Allow", allow)
-        self.send_header("Content-Type", "application/json; charset=utf-8")
-        self.send_header("Content-Length", str(len(body)))
-        if close:
-            # send_header also flips close_connection, so the server loop
-            # tears the socket down after this answer.
-            self.send_header("Connection", "close")
-        self.end_headers()
-        self.wfile.write(body)
-
-    def send_error(self, code, message=None, explain=None):  # noqa: D401
-        """JSON error envelope for protocol-level failures.
-
-        ``http.server`` calls this for malformed request lines, overlong
-        headers and unsupported HTTP versions, and would answer with an
-        HTML page; every other error this server emits is a JSON
-        envelope, so protocol errors match it — a fuzzing client always
-        gets a parseable body.  The parser state is unknown at this
-        point, so the connection closes.
-        """
-        self.close_connection = True
-        if message is None:
-            message = self.responses.get(code, ("unknown error",))[0] \
-                if isinstance(self.responses.get(code), tuple) \
-                else "unknown error"
-        body = json_bytes({"error": {"status": int(code), "message": message}})
-        try:
-            self.send_response(int(code), message)
-            self.send_header("Content-Type", "application/json; charset=utf-8")
-            self.send_header("Content-Length", str(len(body)))
-            self.send_header("Connection", "close")
-            self.end_headers()
-            if (self.command != "HEAD"
-                    and int(code) >= 200 and int(code) not in (204, 205, 304)):
-                self.wfile.write(body)
-        except (BrokenPipeError, ConnectionResetError):
-            pass
-
-    def _guarded(self, answer) -> None:
-        """Run ``answer()``; nothing may escape the handler thread."""
-        try:
-            answer()
-        except (BrokenPipeError, ConnectionResetError, TimeoutError):
-            # The client went away mid-response; nothing to answer.
-            self.close_connection = True
-        except Exception:  # noqa: BLE001 — last-ditch: keep the thread alive
-            try:
-                self._send_json_error(500, "internal server error", close=True)
-            except OSError:
-                self.close_connection = True
-
-    def _service_call(self, method: str = "GET", body: bytes = b"") -> Response:
-        """One traced service call: the wire layer's telemetry lives here.
-
-        A request either presents an ``X-Request-Id`` (propagated
-        verbatim — this is how a leader correlates a follower's fetches)
-        or gets a fresh id; the id is active (``repro.obs.tracing``)
-        for the duration of the call, echoed on the response, and
-        stamped into every structured log line the call emits.  Wire
-        requests cost ~0.5 ms, so registry counters and a histogram
-        observation are affordable here — unlike in
-        :meth:`QueryService.handle_request`, which in-process callers
-        hit at ~5 µs per cached read.
-        """
-        trace_id = self.headers.get("X-Request-Id") or tracing.new_trace_id()
-        start = time.perf_counter()
-        token = tracing.activate(trace_id)
-        try:
-            response = self.service.handle_request(
-                self.path, dict(self.headers), method=method, body=body)
-            duration = time.perf_counter() - start
-            response.headers["X-Request-Id"] = trace_id
-            _M_REQUESTS.labels(method=self.command).inc()
-            _M_REQUEST_SECONDS.observe(duration)
-            if obslog.enabled("debug"):
-                obslog.log_event(
-                    "http.request", level="debug", method=self.command,
-                    path=self.path, status=response.status,
-                    duration_ms=round(duration * 1000.0, 3),
-                    cache=response.headers.get("X-Repro-Cache"))
-            return response
-        finally:
-            tracing.deactivate(token)
-
-    def _answer(self, send_body: bool) -> None:
-        must_close = self._drain_request_body()
-        response = self._service_call()
-        self._send_service_response(response, send_body, close=must_close)
-
-    def do_GET(self) -> None:  # noqa: N802 (http.server API)
-        self._guarded(lambda: self._answer(send_body=True))
-
-    def do_HEAD(self) -> None:  # noqa: N802
-        self._guarded(lambda: self._answer(send_body=False))
-
-    def _read_post_body(self) -> Optional[bytes]:
-        """Read a length-bounded POST body; answer the error and return
-        ``None`` when the framing is unusable.
-
-        Chunked transfer is rejected up front (before any body byte is
-        read): the API's bodies are small and length-known, and a
-        truncated chunk stream must never stall or desync a handler
-        thread.  Oversized declarations answer 413 *without reading*,
-        and a body shorter than its declaration (client hung up) is a
-        400.
-        """
-        if self.headers.get("Transfer-Encoding"):
-            self._send_json_error(
-                400, "chunked transfer encoding is not supported; "
-                     "send Content-Length", close=True)
-            return None
-        declared = self.headers.get("Content-Length")
-        if declared is None:
-            self._send_json_error(411, "POST requires Content-Length", close=True)
-            return None
-        try:
-            length = int(declared)
-        except ValueError:
-            self._send_json_error(
-                400, f"invalid Content-Length {declared!r}", close=True)
-            return None
-        if length < 0:
-            self._send_json_error(
-                400, f"invalid Content-Length {declared!r}", close=True)
-            return None
-        if length > self._MAX_BODY:
-            self._send_json_error(
-                413, f"request body exceeds {self._MAX_BODY} bytes", close=True)
-            return None
-        if faults.ACTIVE is not None:
-            # Injection point "api.request.read": a ``drop`` rule is the
-            # client vanishing mid-upload (connection-loss path), an
-            # ``error`` rule a socket-level read failure (500 envelope).
-            faults.ACTIVE.hit("api.request.read")
-        body = self.rfile.read(length) if length else b""
-        if len(body) < length:
-            self._send_json_error(
-                400, "request body shorter than Content-Length", close=True)
-            return None
-        return body
-
-    def do_POST(self) -> None:  # noqa: N802
-        def answer() -> None:
-            body = self._read_post_body()
-            if body is None:
-                return
-            response = self._service_call(method="POST", body=body)
-            self._send_service_response(response)
-
-        self._guarded(answer)
-
-    def _method_not_allowed(self) -> None:
-        """Answer an unsupported write method with 405 + ``Allow``.
-
-        ``http.server`` responds 501 Unsupported to any method without a
-        ``do_*`` handler, which tells a client the server has no idea
-        what PUT *means*.  The accurate answer is 405 Method Not Allowed
-        with the resource's permitted methods listed.
-        """
-        def answer() -> None:
-            must_close = self._drain_request_body()
-            allow = allowed_methods(urlsplit(self.path).path)
-            self._send_json_error(
-                405, f"method {self.command} not allowed "
-                     f"(allowed: {allow})",
-                close=must_close, allow=allow)
-
-        self._guarded(answer)
-
-    do_PUT = _method_not_allowed  # noqa: N815 (http.server API)
-    do_DELETE = _method_not_allowed  # noqa: N815
-    do_PATCH = _method_not_allowed  # noqa: N815
-
-    def log_message(self, format: str, *args: Any) -> None:  # noqa: A002
-        pass  # keep the serving process quiet; curl/tests read the bodies
-
-
-class ApiHTTPServer(ThreadingHTTPServer):
-    """Threaded server that records unexpected handler-thread failures.
-
-    The handler layer is built so no client input can raise out of a
-    request (``QueryService.handle_request`` never raises, transport
-    errors answer JSON envelopes); :attr:`unhandled_errors` is the
-    tripwire proving it — the fuzz and concurrency tests assert it
-    stays empty.  Client disconnects are not failures and are ignored.
-    """
-
-    daemon_threads = True
-
-    def __init__(self, *args: Any, **kwargs: Any) -> None:
-        super().__init__(*args, **kwargs)
-        #: Bounded drop-oldest trace (a tripwire, not a leak): tests
-        #: assert it stays empty, long-running workers keep only the
-        #: most recent failures plus a ``dropped`` count.
-        self.unhandled_errors: RingLog = RingLog(UNHANDLED_ERRORS_CAPACITY)
-
-    def handle_error(self, request, client_address) -> None:  # noqa: D102
-        error = sys.exc_info()[1]
-        if isinstance(error, (ConnectionError, TimeoutError)):
-            return
-        self.unhandled_errors.append(error)
-        _M_UNHANDLED.inc()
-        obslog.log_event("http.unhandled_error", level="error",
-                         client=str(client_address),
-                         error=type(error).__name__ if error else None)
-
-
-def create_server(service: QueryService, host: str = "127.0.0.1",
-                  port: int = 0, server_class: Optional[type] = None,
-                  listen_socket=None) -> ApiHTTPServer:
-    """A ready-to-run threaded HTTP server bound to ``service``.
-
-    ``port=0`` picks a free port (``server.server_address[1]``); call
-    ``serve_forever()`` to run and ``shutdown()`` to stop.  The returned
-    server exposes ``unhandled_errors`` (see :class:`ApiHTTPServer`).
-
-    ``listen_socket`` adopts an already-bound, already-listening socket
-    instead of binding a fresh one — the pre-fork worker pool's path: the
-    parent binds once, every forked worker builds its server around the
-    inherited file descriptor, and the kernel load-balances accepts
-    across the workers' accept loops.  ``server_class`` substitutes an
-    :class:`ApiHTTPServer` subclass (the pool's crash-to-exit wrapper).
-    """
-    handler = type("BoundHandler", (_Handler,), {"service": service})
-    cls = server_class or ApiHTTPServer
-    if listen_socket is None:
-        return cls((host, port), handler)
-    server = cls(listen_socket.getsockname()[:2], handler,
-                 bind_and_activate=False)
-    # Adopt the shared socket: close the unbound one the constructor
-    # made, skip server_bind/server_activate entirely (the parent
-    # already bound and listened), and fix up the address fields those
-    # steps would have filled in.
-    server.socket.close()
-    server.socket = listen_socket
-    server.server_address = listen_socket.getsockname()[:2]
-    host, port = server.server_address
-    server.server_name = host
-    server.server_port = port
-    return server

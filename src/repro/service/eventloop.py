@@ -1,30 +1,26 @@
-"""``selectors``/epoll event-loop HTTP server for read workers.
+"""``selectors``/epoll event-loop HTTP server: the one ``/v1`` transport.
 
-The threaded server (:func:`repro.service.api.create_server`) costs one
-thread per live connection.  That is the right trade for a handful of
-clients, but a pool front-ending thousands of *mostly idle* keep-alive
-connections (monitoring agents, balancer back-links, long-polling
-clients) pays a thread stack and a scheduler entry for every socket
-that is doing nothing.  This module serves the same
-:class:`~repro.service.api.QueryService` contract from a single
-non-blocking event loop: an idle connection costs one registered file
-descriptor and a ~200-byte state object, nothing else.
+Every ``repro-serve serve`` process runs this server: the single-process
+leader, the ``--follow`` follower, and each process of the pre-fork
+pool, writer included.  It serves the
+:class:`~repro.service.api.QueryService` contract from one non-blocking
+loop, so an idle keep-alive connection costs one registered file
+descriptor and a ~200-byte state object, not a thread.
 
-Wire semantics are the *same contract* the threaded layer locks down in
-``tests/test_service_keepalive.py`` and ``tests/test_service_fuzz.py``
-(the event-loop parity suites re-run those classes against this
-server):
+The wire semantics are locked down by ``tests/test_service_keepalive.py``
+and ``tests/test_service_fuzz.py``:
 
 * clean client errors (404/400/405-without-body) answer inside the
   persistent connection; protocol failures (chunked, missing/oversized/
   short ``Content-Length``) answer with ``Connection: close``;
 * malformed request lines and unsupported HTTP versions answer bare
-  JSON envelopes exactly like the stdlib's HTTP/0.9 degradation;
+  JSON envelopes, the stdlib's HTTP/0.9 degradation;
 * a drained body keeps pipelined keep-alive connections in sync, with
-  the same 1 MiB discard bound;
-* ``unhandled_errors`` is the same tripwire, and the fault-injection
-  points (``api.request.read``, ``api.response.write``) fire the same
-  way.
+  a 1 MiB discard bound;
+* nothing a client sends escapes the loop: would-be escapes land in
+  ``unhandled_errors``, the tripwire the suites assert stays empty;
+  the fault-injection points ``api.request.read`` and
+  ``api.response.write`` fire on the wire path.
 
 Responses are written **zero-copy**: the service's shared-payload-cache
 hits arrive as :class:`memoryview` slices over the mmap'd segment
@@ -33,17 +29,26 @@ loop hands header and body straight to ``socket.sendmsg`` (scatter-
 gather ``writev``) — the payload bytes go from the page cache to the
 socket without ever being copied into a Python ``bytes`` object.
 
-Dispatch is inline: route handlers run on the loop thread.  Cached
-reads cost microseconds, so this is the latency-optimal choice; the
-one blocking call a *reader* can make — forwarding ``POST /v1/ingest``
-to the pool's writer — briefly parks the loop, which is acceptable
-because ingests are rare and bounded (and the writer worker stays
-threaded).
+GET and HEAD dispatch inline on the loop thread: a cached read costs
+microseconds.  A POST is the one request that can block for long — an
+ingest appends and fsyncs, and a pool reader forwards it to the writer
+— so the loop hands each complete POST body to a single worker thread
+and stops parsing that connection until the answer is ready; the answer
+comes back through the loop's wake-up socketpair.  Other connections,
+probes included, keep being served meanwhile.
+
+:meth:`EventLoopServer.shutdown` drains: the loop stops accepting,
+closes idle connections, lets in-flight POSTs finish and flushes their
+answers, and joins the worker thread before ``serve_forever`` returns —
+so a caller can close the store right after it.
 """
 
 from __future__ import annotations
 
+import collections
+import errno
 import os
+import queue
 import selectors
 import socket
 import threading
@@ -73,12 +78,10 @@ _MAX_REQUEST_LINE = 65536
 #: Total request-head bound (line + headers) before 431.
 _MAX_HEAD_BYTES = 1 << 20
 
-#: Upper bound on a discarded non-POST body (same constant as the
-#: threaded handler's ``_MAX_DISCARDED_BODY``).
+#: Upper bound on a discarded non-POST body: keeps keep-alive
+#: connections in sync without letting a client stream gigabytes.
 _MAX_DISCARDED_BODY = 1 << 20
 
-#: Methods the service layer answers; everything else is 405/501.
-_SERVICE_METHODS = frozenset({"GET", "HEAD", "POST"})
 _WRITEISH_METHODS = frozenset({"PUT", "DELETE", "PATCH"})
 
 _READ = selectors.EVENT_READ
@@ -90,7 +93,7 @@ class _Connection:
 
     __slots__ = ("sock", "fd", "inbuf", "scan_pos", "out", "events",
                  "closing", "draining", "discard", "pending", "need", "eof",
-                 "last_activity")
+                 "busy", "last_activity")
 
     def __init__(self, sock: socket.socket, now: float) -> None:
         self.sock: Optional[socket.socket] = sock
@@ -98,54 +101,44 @@ class _Connection:
         self.inbuf = bytearray()
         self.scan_pos = 0           # head-scan resume point (O(n) total)
         self.out: list[Any] = []    # bytes / memoryview, in write order
-        self.events = _READ
+        self.events = _READ         # registered interest; 0 = unregistered
         self.closing = False        # no more requests; close once flushed
         self.draining = False       # FIN sent; discarding until client EOF
         self.discard = 0            # request-body bytes still to skip
-        self.pending: Optional[tuple[str, str, dict[str, str], bool]] = None
+        self.pending: Optional[tuple[str, dict[str, str], bool]] = None
         self.need = 0               # body bytes the pending POST awaits
         self.eof = False
+        self.busy = False           # a POST is on the worker thread
         self.last_activity = now
 
 
-class _HandlerShim:
-    """Duck-typed stand-in for the threaded server's handler class.
-
-    The wire-contract suites poke ``server.RequestHandlerClass`` for two
-    things — the bound ``service`` (to monkeypatch routes) and
-    ``disable_nagle_algorithm`` — so the event-loop server exposes the
-    same surface and reads ``service`` through it on every dispatch,
-    keeping monkeypatches effective.
-    """
-
-    disable_nagle_algorithm = True
-
-    def __init__(self, service: QueryService) -> None:
-        self.service = service
-
-
 class EventLoopServer:
-    """Single-threaded non-blocking HTTP server over ``selectors``.
+    """Non-blocking HTTP server: one ``selectors`` loop, one POST worker.
 
-    API mirrors the threaded server where the pool and tests touch it:
     ``server_address``, ``serve_forever()``/``shutdown()``/
-    ``server_close()``, ``unhandled_errors``, ``RequestHandlerClass``.
-    Construct with either ``host``/``port`` or an already-listening
-    ``listen_socket`` (the pre-fork pool's shared socket).
+    ``server_close()`` and ``unhandled_errors`` follow the stdlib
+    ``socketserver`` shapes.  Construct with either ``host``/``port`` or
+    an already-listening ``listen_socket`` (the pre-fork pool's shared
+    socket).  ``service`` is read on every dispatch, so tests can
+    monkeypatch its routes.
 
     ``crash_exit_code``: when set, an injected crash
-    (:class:`repro.faults.InjectedCrash`) terminates the process with
-    this exit code — the pool's crash-to-exit contract.
+    (:class:`repro.faults.InjectedCrash`) on the loop or the POST worker
+    terminates the process with this exit code — the pool's
+    crash-to-exit contract.  Unset, the crash re-raises out of
+    ``serve_forever``.
     """
 
-    #: Idle keep-alive connections are reaped after this many seconds
-    #: (same bound as the threaded handler's socket timeout).
+    #: Idle keep-alive connections are reaped after this many seconds.
     timeout = 30.0
 
     def __init__(self, service: QueryService, host: str = "127.0.0.1",
                  port: int = 0, listen_socket: Optional[socket.socket] = None,
                  crash_exit_code: Optional[int] = None) -> None:
-        self.RequestHandlerClass = _HandlerShim(service)
+        self.service = service
+        #: Bounded drop-oldest trace (a tripwire, not a leak): tests
+        #: assert it stays empty, long-running workers keep only the
+        #: most recent failures plus a ``dropped`` count.
         self.unhandled_errors: RingLog = RingLog(UNHANDLED_ERRORS_CAPACITY)
         self.crash_exit_code = crash_exit_code
         if listen_socket is None:
@@ -163,58 +156,70 @@ class EventLoopServer:
         self._conns: dict[int, _Connection] = {}
         self._wake_recv, self._wake_send = socket.socketpair()
         self._wake_recv.setblocking(False)
+        #: POST jobs for the worker thread, and its finished answers.
+        self._jobs: queue.SimpleQueue = queue.SimpleQueue()
+        self._done: collections.deque = collections.deque()
+        self._accepting = False
         self._shutdown_request = False
+        self._stopping = False
         self._stopped = threading.Event()
         self._stopped.set()
         self._loop_thread: Optional[threading.Thread] = None
         self._date_cache: tuple[int, bytes] = (0, b"")
         self._closed = False
 
-    @property
-    def service(self) -> QueryService:
-        return self.RequestHandlerClass.service
-
     # -- lifecycle --------------------------------------------------------
     def serve_forever(self, poll_interval: float = 0.5) -> None:
         self._loop_thread = threading.current_thread()
-        self._shutdown_request = False
+        self._stopping = False
         self._stopped.clear()
+        worker = threading.Thread(target=self._post_worker,
+                                  name="http-post", daemon=True)
+        worker.start()
         sel = self._selector
-        sel.register(self._listen, _READ, data="listen")
         sel.register(self._wake_recv, _READ, data="wake")
+        self._resume_accept()
         next_sweep = time.monotonic() + poll_interval
         try:
-            while not self._shutdown_request:
-                for key, _mask in sel.select(poll_interval):
+            while True:
+                if self._shutdown_request:
+                    if not self._stopping:
+                        self._begin_stop()
+                    if not self._conns:
+                        break
+                for key, mask in sel.select(poll_interval):
                     if key.data == "listen":
                         self._accept()
                     elif key.data == "wake":
-                        try:
-                            self._wake_recv.recv(4096)
-                        except OSError:
-                            pass
+                        self._finish_posts()
                     else:
-                        self._handle_event(key.data, _mask)
+                        self._handle_event(key.data, mask)
                 now = time.monotonic()
                 if now >= next_sweep:
                     self._sweep_idle(now)
                     next_sweep = now + poll_interval
         finally:
-            for fd in (self._listen, self._wake_recv):
-                try:
-                    sel.unregister(fd)
-                except (KeyError, ValueError):
-                    pass
+            self._jobs.put(None)
+            worker.join()
+            self._pause_accept()
+            try:
+                sel.unregister(self._wake_recv)
+            except (KeyError, ValueError):
+                pass
+            self._shutdown_request = False
             self._stopped.set()
 
     def shutdown(self) -> None:
+        """Drain and stop ``serve_forever``; wait for it from other threads.
+
+        The loop stops accepting and closes idle connections; in-flight
+        POSTs finish and their answers are flushed (with ``Connection:
+        close``) before the loop exits and joins its worker thread.
+        """
         self._shutdown_request = True
-        try:
-            self._wake_send.send(b"x")
-        except OSError:
-            pass
+        self._wake()
         if threading.current_thread() is not self._loop_thread:
-            self._stopped.wait(timeout=10)
+            self._stopped.wait()
 
     def server_close(self) -> None:
         if self._closed:
@@ -228,17 +233,52 @@ class EventLoopServer:
             sock.close()
         self._selector.close()
 
+    def _wake(self) -> None:
+        try:
+            self._wake_send.send(b"x")
+        except OSError:
+            pass
+
+    def _begin_stop(self) -> None:
+        self._stopping = True
+        self._pause_accept()
+        for conn in list(self._conns.values()):
+            if conn.busy or conn.out:
+                conn.closing = True
+            else:
+                self._close_conn(conn)
+
     # -- connection plumbing ----------------------------------------------
+    def _pause_accept(self) -> None:
+        if self._accepting:
+            self._accepting = False
+            self._selector.unregister(self._listen)
+
+    def _resume_accept(self) -> None:
+        if not (self._accepting or self._stopping or self._closed):
+            self._accepting = True
+            self._selector.register(self._listen, _READ, data="listen")
+
     def _accept(self) -> None:
         while True:
             try:
                 sock, _addr = self._listen.accept()
             except (BlockingIOError, InterruptedError):
                 return
-            except OSError:
+            except OSError as error:
+                if error.errno in (errno.EMFILE, errno.ENFILE):
+                    # Out of fds: the level-triggered listen socket stays
+                    # readable and would spin the loop.  Stop watching it
+                    # until a connection closes or the next idle sweep.
+                    self._pause_accept()
+                    obslog.log_event("http.accept_paused", level="warning",
+                                     error=errno.errorcode[error.errno])
                 return
             sock.setblocking(False)
             try:
+                # Headers and body go out as separate segments; without
+                # TCP_NODELAY a keep-alive client waits out its delayed
+                # ACK (~40 ms) on every small response.
                 sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             except OSError:  # pragma: no cover - non-TCP test sockets
                 pass
@@ -249,8 +289,13 @@ class EventLoopServer:
     def _set_events(self, conn: _Connection, events: int) -> None:
         if conn.sock is None or conn.events == events:
             return
+        if not events:
+            self._selector.unregister(conn.sock)
+        elif not conn.events:
+            self._selector.register(conn.sock, events, data=conn)
+        else:
+            self._selector.modify(conn.sock, events, data=conn)
         conn.events = events
-        self._selector.modify(conn.sock, events, data=conn)
 
     def _close_conn(self, conn: _Connection) -> None:
         if conn.sock is None:
@@ -266,38 +311,83 @@ class EventLoopServer:
             pass
         conn.sock = None
         conn.out.clear()
+        self._resume_accept()  # an fd came free
 
     def _sweep_idle(self, now: float) -> None:
         cutoff = now - self.timeout
         for conn in [c for c in self._conns.values()
-                     if c.last_activity < cutoff]:
+                     if c.last_activity < cutoff and not c.busy]:
             self._close_conn(conn)
+        self._resume_accept()
 
     def _handle_event(self, conn: _Connection, mask: int) -> None:
         try:
             if mask & _WRITE:
                 self._flush(conn)
-            if conn.sock is not None and mask & _READ:
+            if conn.sock is not None and mask & _READ and not conn.busy:
                 self._read(conn)
         except BaseException as error:  # noqa: BLE001 — loop must survive
-            if faults.is_crash(error):
-                if self.crash_exit_code is not None:
-                    os._exit(self.crash_exit_code)
-                raise
-            if isinstance(error, (ConnectionResetError, BrokenPipeError,
-                                  TimeoutError)):
-                self._close_conn(conn)
+            self._handle_error(conn, error)
+
+    def _handle_error(self, conn: _Connection, error: BaseException) -> None:
+        if faults.is_crash(error):
+            if self.crash_exit_code is not None:
+                os._exit(self.crash_exit_code)
+            raise error
+        if not isinstance(error, Exception):
+            raise error  # KeyboardInterrupt / SystemExit
+        if isinstance(error, (ConnectionResetError, BrokenPipeError,
+                              TimeoutError)):
+            self._close_conn(conn)
+            return
+        self.unhandled_errors.append(error)
+        _M_UNHANDLED.inc()
+        obslog.log_event("http.unhandled_error", level="error",
+                         error=type(error).__name__)
+        try:
+            self._queue_error(conn, 500, "internal server error", close=True)
+            self._flush(conn)
+        except OSError:
+            self._close_conn(conn)
+
+    # -- the POST worker ---------------------------------------------------
+    def _post_worker(self) -> None:
+        """Answer POSTs off the loop, one at a time, until the sentinel."""
+        while True:
+            job = self._jobs.get()
+            if job is None:
                 return
-            self.unhandled_errors.append(error)
-            _M_UNHANDLED.inc()
-            obslog.log_event("http.unhandled_error", level="error",
-                             error=type(error).__name__)
+            conn, target, headers, body, close = job
+            response = error = None
             try:
-                self._queue_error(conn, 500, "internal server error",
-                                  close=True)
-                self._flush(conn)
-            except OSError:
-                self._close_conn(conn)
+                response = self._service_call("POST", target, headers, body)
+            except BaseException as exc:  # noqa: BLE001 — handed to the loop
+                if faults.is_crash(exc) and self.crash_exit_code is not None:
+                    os._exit(self.crash_exit_code)
+                error = exc
+            self._done.append((conn, response, error, close))
+            self._wake()
+
+    def _finish_posts(self) -> None:
+        """Queue the worker's answers and resume parsing their connections."""
+        try:
+            self._wake_recv.recv(4096)
+        except OSError:
+            pass
+        while self._done:
+            conn, response, error, close = self._done.popleft()
+            conn.busy = False
+            if conn.sock is None:
+                continue  # the client went away meanwhile
+            conn.last_activity = time.monotonic()
+            try:
+                if error is not None:
+                    raise error
+                self._queue_response(conn, response, send_body=True,
+                                     close=close or self._stopping)
+                self._process(conn)
+            except BaseException as exc:  # noqa: BLE001 — loop must survive
+                self._handle_error(conn, exc)
 
     def _read(self, conn: _Connection) -> None:
         assert conn.sock is not None
@@ -327,7 +417,7 @@ class EventLoopServer:
     # -- request parsing ---------------------------------------------------
     def _process(self, conn: _Connection) -> None:
         """Drive the parse state machine over whatever is buffered."""
-        while conn.sock is not None and not conn.closing:
+        while conn.sock is not None and not conn.closing and not conn.busy:
             if conn.discard:
                 take = min(len(conn.inbuf), conn.discard)
                 del conn.inbuf[:take]
@@ -348,10 +438,10 @@ class EventLoopServer:
                 body = bytes(conn.inbuf[:conn.need])
                 del conn.inbuf[:conn.need]
                 conn.scan_pos = 0
-                method, target, headers, close_requested = conn.pending
+                target, headers, close_requested = conn.pending
                 conn.pending = None
-                self._dispatch_with_body(conn, method, target, headers,
-                                         close_requested, body)
+                self._dispatch_post(conn, target, headers, close_requested,
+                                    body)
                 continue
             if not self._parse_head(conn):
                 break
@@ -492,11 +582,12 @@ class EventLoopServer:
                     f"request body exceeds {MAX_BODY_BYTES} bytes",
                     close=True)
                 return
-            conn.pending = (method, target, headers, close_requested)
+            conn.pending = (target, headers, close_requested)
             conn.need = length
             return
-        # Non-POST: drain any declared body so pipelining stays in sync
-        # (same rules as the threaded handler's _drain_request_body).
+        # Non-POST: any method may carry a body; drain a declared one so
+        # its bytes are not parsed as the next pipelined request.  Chunked
+        # or oversized framing cannot be drained by length: close.
         must_close = close_requested
         if headers.get("Transfer-Encoding"):
             must_close = True
@@ -513,12 +604,9 @@ class EventLoopServer:
                     conn.discard = min(length, _MAX_DISCARDED_BODY)
                     must_close = must_close or length > _MAX_DISCARDED_BODY
         if method in ("GET", "HEAD"):
-            response = self._service_call(conn, "GET", target, headers,
-                                          b"", command=method)
-            if response is not None:
-                self._queue_response(conn, response,
-                                     send_body=method != "HEAD",
-                                     close=must_close)
+            response = self._service_call(method, target, headers, b"")
+            self._queue_response(conn, response, send_body=method != "HEAD",
+                                 close=must_close)
         elif method in _WRITEISH_METHODS:
             allow = allowed_methods(urlsplit(target).path)
             self._queue_error(
@@ -529,13 +617,14 @@ class EventLoopServer:
             self._queue_error(conn, 501,
                               f"unsupported method ({method!r})", close=True)
 
-    def _dispatch_with_body(self, conn: _Connection, method: str,
-                            target: str, headers: dict[str, str],
-                            close_requested: bool, body: bytes) -> None:
+    def _dispatch_post(self, conn: _Connection, target: str,
+                       headers: dict[str, str], close_requested: bool,
+                       body: bytes) -> None:
+        """Hand a complete POST to the worker thread; pause the connection."""
         if faults.ACTIVE is not None:
-            # Injection point "api.request.read": same semantics as the
-            # threaded handler — a drop is the client vanishing
-            # mid-upload, an error rule a socket-level read failure.
+            # Injection point "api.request.read": a drop is the client
+            # vanishing mid-upload, an error rule a socket-level read
+            # failure.
             try:
                 faults.ACTIVE.hit("api.request.read")
             except ConnectionResetError:
@@ -547,24 +636,29 @@ class EventLoopServer:
                 self._queue_error(conn, 500, "internal server error",
                                   close=True)
                 return
-        response = self._service_call(conn, method, target, headers, body,
-                                      command=method)
-        if response is not None:
-            self._queue_response(conn, response, send_body=True,
-                                 close=close_requested)
+        conn.busy = True
+        self._jobs.put((conn, target, headers, body, close_requested))
 
     def _dispatch_simple(self, conn: _Connection, target: str) -> None:
         """HTTP/0.9: body only, then close (stdlib degradation parity)."""
-        response = self._service_call(conn, "GET", target, {}, b"",
-                                      command="GET")
-        if response is not None and response.body:
+        response = self._service_call("GET", target, {}, b"")
+        if response.body:
             conn.out.append(self._fault_body(conn, response.body))
         conn.closing = True
 
-    def _service_call(self, conn: _Connection, method: str, target: str,
-                      headers: dict[str, str], body: bytes,
-                      command: str) -> Optional[Response]:
-        """One traced service call (the threaded ``_service_call`` twin)."""
+    def _service_call(self, method: str, target: str,
+                      headers: dict[str, str], body: bytes) -> Response:
+        """One traced service call: the wire layer's telemetry lives here.
+
+        A request either presents an ``X-Request-Id`` (propagated
+        verbatim — this is how a leader correlates a follower's fetches)
+        or gets a fresh id; the id is active (``repro.obs.tracing``)
+        for the duration of the call, echoed on the response, and
+        stamped into every structured log line the call emits.  Wire
+        requests cost far more than a cached in-process read, so
+        registry counters and a histogram observation are affordable
+        here — unlike in :meth:`QueryService.handle_request`.
+        """
         trace_id = headers.get("X-Request-Id") or tracing.new_trace_id()
         start = time.perf_counter()
         token = tracing.activate(trace_id)
@@ -573,11 +667,11 @@ class EventLoopServer:
                 target, headers, method=method, body=body)
             duration = time.perf_counter() - start
             response.headers["X-Request-Id"] = trace_id
-            _M_REQUESTS.labels(method=command).inc()
+            _M_REQUESTS.labels(method=method).inc()
             _M_REQUEST_SECONDS.observe(duration)
             if obslog.enabled("debug"):
                 obslog.log_event(
-                    "http.request", level="debug", method=command,
+                    "http.request", level="debug", method=method,
                     path=target, status=response.status,
                     duration_ms=round(duration * 1000.0, 3),
                     cache=response.headers.get("X-Repro-Cache"))
@@ -598,8 +692,8 @@ class EventLoopServer:
 
         A ``torn`` rule truncates the body (the declared Content-Length
         stays full, so the client observes a torn response) and closes;
-        a ``drop`` ships nothing and closes — matching the threaded
-        server's ``torn_write`` mapping to a mid-body connection loss.
+        a ``drop`` ships nothing and closes — from the server's side,
+        a connection lost mid-body.
         """
         if faults.ACTIVE is None:
             return body
@@ -638,7 +732,7 @@ class EventLoopServer:
     def _queue_error(self, conn: _Connection, status: int, message: str,
                      close: bool = False,
                      allow: Optional[str] = None) -> None:
-        """The threaded ``_send_json_error`` twin: framed JSON envelope."""
+        """A transport-level error in the same envelope the API uses."""
         _M_ERRORS.labels(code=str(status)).inc()
         body = json_bytes({"error": {"status": status, "message": message}})
         headers = {"Content-Type": "application/json; charset=utf-8"}
@@ -672,21 +766,23 @@ class EventLoopServer:
             except OSError:
                 self._close_conn(conn)
                 return
-            while sent and conn.out:
+            # Pop what went out, empty chunks (a dropped body) included.
+            while conn.out and sent >= len(conn.out[0]):
+                sent -= len(conn.out.pop(0))
+            if sent:
                 first = conn.out[0]
-                size = len(first)
-                if sent >= size:
-                    sent -= size
-                    conn.out.pop(0)
-                else:
-                    view = first if isinstance(first, memoryview) \
-                        else memoryview(first)
-                    conn.out[0] = view[sent:]
-                    sent = 0
+                view = first if isinstance(first, memoryview) \
+                    else memoryview(first)
+                conn.out[0] = view[sent:]
+        # A connection whose POST is on the worker reads nothing more
+        # until the answer is queued.
+        reading = 0 if conn.busy else _READ
         if conn.out:
-            self._set_events(conn, _READ | _WRITE)
+            self._set_events(conn, reading | _WRITE)
             return
-        self._set_events(conn, _READ)
+        self._set_events(conn, reading)
+        if conn.busy:
+            return
         if conn.closing or (conn.eof and conn.pending is None
                             and not conn.inbuf.strip()):
             if conn.eof:

@@ -1,17 +1,16 @@
 """Pre-fork worker pool: N read processes, one writer, one store.
 
-A single :class:`~repro.service.api.ApiHTTPServer` is a threaded server
-under the GIL: every request — routing, canonical-JSON encoding,
-SHA-256 ETags — competes for one interpreter lock, so a busy read
-workload saturates one core no matter how many threads accept.  This
-module scales the same service across *processes* the classic pre-fork
-way:
+One serving process runs under the GIL: every request — routing,
+canonical-JSON encoding, SHA-256 ETags — competes for one interpreter
+lock, so a busy read workload saturates one core.  This module scales
+the same service across *processes* the classic pre-fork way:
 
 * The **parent** binds the public listening socket once, then forks
-  ``workers`` read-only children.  Each child builds its server around
-  the inherited file descriptor (``create_server(listen_socket=...)``)
-  and runs an ordinary accept loop; the kernel load-balances incoming
-  connections across the children's concurrent ``accept(2)`` calls.
+  ``workers`` read-only children.  Each child builds an
+  :class:`~repro.service.eventloop.EventLoopServer` around the
+  inherited file descriptor (``listen_socket=...``); the kernel
+  load-balances incoming connections across the children's accept
+  loops.
 * One designated **writer** process owns the read-write
   :class:`~repro.service.store.ArchiveStore` and with it ``POST
   /v1/ingest``.  It listens on a private port; read workers answer
@@ -32,13 +31,16 @@ way:
   byte-identically (same ETag) from every other worker without
   re-rendering.
 
-The parent supervises: a crashed or killed child is respawned into the
-same slot (the listen sockets live in the parent, so the replacement
-adopts the very same ports), ``SIGTERM`` drains every child
-gracefully, and a small **control endpoint** aggregates the per-worker
-``/v1/metrics`` scrapes into one exposition
-(:func:`repro.obs.metrics.aggregate_expositions`) that
-``parse_exposition`` reads like any single-process render.
+Every child, writer included, serves on the event loop; an injected
+crash on its loop or POST worker exits the process with
+:data:`CRASH_EXIT_CODE`.  The parent supervises: a crashed or killed
+child is respawned into the same slot (the listen sockets live in the
+parent, so the replacement adopts the very same ports), and ``SIGTERM``
+drains every child gracefully — a child finishes its in-flight POSTs
+and flushes their answers before it closes the store.  A small
+**control endpoint** aggregates the per-worker ``/v1/metrics`` scrapes
+into one exposition (:func:`repro.obs.metrics.aggregate_expositions`)
+that ``parse_exposition`` reads like any single-process render.
 
 POSIX-only (``os.fork``); the single-process ``repro-serve serve``
 path remains the portable default.
@@ -61,50 +63,27 @@ from typing import Any, Callable, Optional
 from repro import faults
 from repro.obs import logging as obslog
 from repro.obs.metrics import aggregate_expositions
-from repro.service.api import ApiHTTPServer, QueryService, create_server
+from repro.service.api import QueryService
+from repro.service.eventloop import EventLoopServer
 from repro.service.replica import StoreTailer
 from repro.service.shared_cache import DEFAULT_MAX_BYTES, SharedPayloadCache
 from repro.service.store import ArchiveStore
 
 __all__ = [
     "CRASH_EXIT_CODE",
-    "CrashExitServer",
     "WorkerPool",
     "WorkerSlot",
 ]
 
-#: Exit status a worker dies with when an injected crash fires inside a
-#: request thread.  Distinct from 0 (drain) and 1 (setup failure) so the
-#: supervisor's restart log — and the chaos tests — can tell a simulated
-#: process death from everything else.
+#: Exit status a worker dies with when an injected crash fires while it
+#: serves a request.  Distinct from 0 (drain) and 1 (setup failure) so
+#: the supervisor's restart log — and the chaos tests — can tell a
+#: simulated process death from everything else.
 CRASH_EXIT_CODE = 70
 
 #: How long :meth:`WorkerPool.stop` waits for SIGTERM'd children before
 #: escalating to SIGKILL.
 DEFAULT_GRACE_SECONDS = 5.0
-
-
-class CrashExitServer(ApiHTTPServer):
-    """An :class:`ApiHTTPServer` where an injected crash kills the process.
-
-    :class:`~repro.faults.InjectedCrash` is a ``BaseException`` that
-    means *the process died here*.  In a single-process test harness it
-    unwinds to the test, which reopens the store.  In a forked worker
-    there is no harness above the accept loop — a crash escaping into a
-    daemon request thread would just kill that thread and leave a
-    half-dead worker serving.  This subclass completes the simulation:
-    the worker exits with :data:`CRASH_EXIT_CODE` (taking its torn store
-    state with it to disk), and the pool parent's supervisor respawns
-    it through the real recovery path.
-    """
-
-    def process_request_thread(self, request, client_address) -> None:
-        try:
-            super().process_request_thread(request, client_address)
-        except BaseException as error:  # noqa: BLE001 — crash passthrough
-            if faults.is_crash(error):
-                os._exit(CRASH_EXIT_CODE)
-            raise
 
 
 class WorkerSlot:
@@ -166,7 +145,6 @@ class WorkerPool:
                  control: bool = True,
                  ready_file: Optional[str | Path] = None,
                  worker_init: Optional[Callable[[str, int], None]] = None,
-                 event_loop: bool = False,
                  ) -> None:
         if workers < 1:
             raise ValueError(f"workers must be >= 1 (got {workers})")
@@ -174,10 +152,6 @@ class WorkerPool:
             raise RuntimeError("WorkerPool requires os.fork (POSIX)")
         self.store_dir = Path(store_dir)
         self.workers = workers
-        #: Readers run the selectors event loop instead of a thread per
-        #: connection (the writer stays threaded — ingests are rare and
-        #: benefit from request threads).
-        self.event_loop = event_loop
         self.host = host
         self._requested_port = port
         self.cache_path = (Path(cache_path) if cache_path is not None
@@ -403,35 +377,19 @@ class WorkerPool:
             thread.start()
             threads.append(thread)
 
-        if slot.role == "reader" and self.event_loop:
-            from repro.service.eventloop import EventLoopServer
+        servers = [EventLoopServer(service, listen_socket=sock,
+                                   crash_exit_code=CRASH_EXIT_CODE)
+                   for sock in ([slot.sock, self._listen_sock]
+                                if slot.role == "reader" else [slot.sock])]
 
-            def make_server(listen_socket: socket.socket) -> Any:
-                return EventLoopServer(service, listen_socket=listen_socket,
-                                       crash_exit_code=CRASH_EXIT_CODE)
-        else:
-            def make_server(listen_socket: socket.socket) -> Any:
-                return create_server(service, listen_socket=listen_socket,
-                                     server_class=CrashExitServer)
-
-        servers = [make_server(slot.sock)]
-        if slot.role == "reader":
-            servers.append(make_server(self._listen_sock))
-
-        def drain() -> None:
-            stop.set()
+        def shutdown_all() -> None:
             for server in servers:
                 server.shutdown()
-            # In-flight requests run on daemon threads; give them a
-            # beat to flush their responses before the process goes.
-            time.sleep(0.1)
-            store.close()
-            os._exit(0)
 
         def on_term(signum: int, frame: object) -> None:
-            # shutdown() blocks until serve_forever() exits — which is
-            # this very thread — so drain from a helper thread.
-            threading.Thread(target=drain, daemon=True).start()
+            # shutdown() waits until a loop has drained, and this very
+            # thread runs the first loop, so drain from a helper thread.
+            threading.Thread(target=shutdown_all, daemon=True).start()
 
         signal.signal(signal.SIGTERM, on_term)
         obslog.log_event("pool.worker_start", worker=slot.name,
@@ -443,6 +401,13 @@ class WorkerPool:
             thread.start()
             threads.append(thread)
         servers[0].serve_forever()
+        # Only once every loop has drained and joined its POST worker is
+        # no ingest in flight: then the store may close.
+        shutdown_all()
+        stop.set()
+        for thread in threads:
+            thread.join(timeout=1.0)
+        store.close()
 
     # -- parent-side observability ---------------------------------------
     def describe(self) -> dict[str, Any]:
@@ -454,7 +419,6 @@ class WorkerPool:
             "writer_port": self.writer_port,
             "control_port": self.control_port,
             "cache_path": str(self.cache_path),
-            "event_loop": self.event_loop,
             "poll_interval": self.poll_interval,
             "restarts": sum(w["restarts"] for w in workers),
             "workers": workers,

@@ -19,7 +19,8 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 import pytest
 
 from repro.providers.base import ListArchive, ListSnapshot
-from repro.service.api import QueryService, create_server
+from repro.service.api import QueryService
+from repro.service.eventloop import EventLoopServer
 from repro.service.balance import Backend, Balancer
 from repro.service.store import ArchiveStore
 
@@ -44,7 +45,7 @@ def backends(tmp_path):
         tmp_path / "store",
         {"alexa": ListArchive.from_snapshots(snapshots)})
     service = QueryService(store)
-    servers = [create_server(service) for _ in range(2)]
+    servers = [EventLoopServer(service) for _ in range(2)]
     for server in servers:
         threading.Thread(target=server.serve_forever, daemon=True).start()
     yield servers, service

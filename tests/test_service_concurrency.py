@@ -37,7 +37,8 @@ from repro.core.stability import (
 )
 from repro.providers.base import ListArchive, ListSnapshot
 from repro.scenarios.runner import canonical_float
-from repro.service.api import QueryService, create_server, json_bytes
+from repro.service.api import QueryService, json_bytes
+from repro.service.eventloop import EventLoopServer
 from repro.service.store import ArchiveStore
 
 BASE_DATE = dt.date(2018, 1, 10)
@@ -193,7 +194,7 @@ def test_concurrent_readers_during_live_appends(tmp_path, reader_threads):
     store.append_archive(ListArchive.from_snapshots(
         [_snapshot("umbrella", day) for day in range(seed_days)]))
     service = QueryService(store)
-    server = create_server(service)
+    server = EventLoopServer(service)
     port = server.server_address[1]
     threading.Thread(target=server.serve_forever, daemon=True).start()
     base = f"http://127.0.0.1:{port}"

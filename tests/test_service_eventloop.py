@@ -1,16 +1,19 @@
-"""Event-loop server: wire-contract parity, zero-copy path, idle cost.
+"""Event-loop transport specifics: idle cost, zero-copy, fd exhaustion.
 
-The parity classes re-run the locked keep-alive and fuzz suites against
-:class:`repro.service.eventloop.EventLoopServer` — same fixtures, same
-assertions, different transport.  The threaded and event-loop servers
-must be indistinguishable on the wire.
+The wire contract itself is locked by ``tests/test_service_keepalive.py``
+and ``tests/test_service_fuzz.py``, which run against the same
+:class:`repro.service.eventloop.EventLoopServer`.
 """
 
 import datetime as dt
-import json
+import os
 import socket
+import subprocess
+import sys
+import textwrap
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
@@ -20,20 +23,7 @@ from repro.service.eventloop import EventLoopServer
 from repro.service.shared_cache import SharedPayloadCache
 from repro.service.store import ArchiveStore
 
-# Underscore aliases keep pytest from collecting the originals twice.
-from test_service_keepalive import (  # noqa: F401
-    _get, _port, _request,
-    TestCleanErrorsKeepAlive as _CleanErrorsContract,
-    TestIfNoneMatchRFC7232 as _IfNoneMatchContract,
-    TestNoDelay as _NoDelayContract,
-    TestProtocolFailuresClose as _ProtocolCloseContract,
-)
-from test_service_fuzz import (  # noqa: F401
-    _raw_exchange,
-    TestHeaderAndParamFuzz as _HeaderFuzzContract,
-    TestIngestBodies as _IngestBodiesContract,
-    TestMalformedRequestLines as _MalformedLinesContract,
-)
+from test_service_keepalive import _get, _port, _read_response, _request
 
 
 def _serve(server: EventLoopServer) -> threading.Thread:
@@ -62,53 +52,6 @@ def keepalive_server(tmp_path_factory):
     store.close()
 
 
-@pytest.fixture(scope="module")
-def fuzz_server(tmp_path_factory):
-    root = tmp_path_factory.mktemp("elfuzzstore")
-    store = ArchiveStore(root / "s")
-    store.append_archive(ListArchive.from_snapshots([
-        ListSnapshot("alexa", dt.date(2018, 1, 1) + dt.timedelta(days=day),
-                     (f"a{day}.example.com", "b.example.com", "c.example.org"))
-        for day in range(3)]))
-    service = QueryService(store)
-    server = EventLoopServer(service)
-    _serve(server)
-    yield server
-    assert server.unhandled_errors == [], server.unhandled_errors
-    server.shutdown()
-    server.server_close()
-
-
-# -- the locked wire contracts, replayed over the event loop --------------
-class TestCleanErrorsKeepAliveEventLoop(_CleanErrorsContract):
-    pass
-
-
-class TestProtocolFailuresCloseEventLoop(_ProtocolCloseContract):
-    pass
-
-
-class TestIfNoneMatchEventLoop(_IfNoneMatchContract):
-    pass
-
-
-class TestNoDelayEventLoop(_NoDelayContract):
-    pass
-
-
-class TestMalformedRequestLinesEventLoop(_MalformedLinesContract):
-    pass
-
-
-class TestIngestBodiesEventLoop(_IngestBodiesContract):
-    pass
-
-
-class TestHeaderAndParamFuzzEventLoop(_HeaderFuzzContract):
-    pass
-
-
-# -- event-loop-specific behaviour ----------------------------------------
 class TestIdleConnectionCost:
     def test_idle_keepalive_connections_cost_no_threads(self, keepalive_server):
         """The module's reason to exist: parked sockets are just fds."""
@@ -201,3 +144,81 @@ class TestZeroCopySharedPayloads:
         finally:
             server.shutdown()
             server.server_close()
+
+
+#: A server process that exhausts its own fd table once it is serving.
+_EXHAUSTED_SERVER = textwrap.dedent('''
+    import datetime as dt, os, resource, sys, threading, time
+    from repro.providers.base import ListArchive, ListSnapshot
+    from repro.service.api import QueryService
+    from repro.service.eventloop import EventLoopServer
+    from repro.service.store import ArchiveStore
+
+    _, hard = resource.getrlimit(resource.RLIMIT_NOFILE)
+    resource.setrlimit(resource.RLIMIT_NOFILE, (256, hard))
+    store = ArchiveStore.from_archives(sys.argv[1], {"alexa":
+        ListArchive.from_snapshots([ListSnapshot(
+            "alexa", dt.date(2018, 5, 1), ("a.com", "b.org"))])})
+    service = QueryService(store)
+    assert service.handle_request("/v1/meta").status == 200
+    server = EventLoopServer(service)
+    threading.Thread(target=server.serve_forever,
+                     kwargs={"poll_interval": 0.05}, daemon=True).start()
+    hogs = []
+    while True:
+        try:
+            hogs.append(os.open(os.devnull, os.O_RDONLY))
+        except OSError:
+            break
+    print(server.server_address[1], flush=True)
+    for line in sys.stdin:
+        if line.strip() == "free":
+            for fd in hogs:
+                os.close(fd)
+        print(time.process_time(), flush=True)
+''')
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="RLIMIT_NOFILE exhaustion test needs Linux")
+class TestFdExhaustion:
+    def test_emfile_pauses_accept_then_recovers(self, tmp_path):
+        """Out of fds, the loop must neither spin nor stop accepting.
+
+        With every descriptor taken, ``accept`` fails with EMFILE while
+        the listen socket stays readable; a loop that kept watching it
+        would burn a core.  Once fds free up, the waiting client is
+        accepted and answered.
+        """
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(Path(__file__).resolve().parents[1] / "src"),
+             env.get("PYTHONPATH", "")])
+        with subprocess.Popen(
+                [sys.executable, "-c", _EXHAUSTED_SERVER, str(tmp_path / "s")],
+                stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                stderr=subprocess.DEVNULL, text=True, env=env) as proc:
+
+            def cpu_seconds(command: str = "cpu") -> float:
+                proc.stdin.write(command + "\n")
+                proc.stdin.flush()
+                return float(proc.stdout.readline())
+
+            try:
+                port = int(proc.stdout.readline())
+                with socket.create_connection(("127.0.0.1", port),
+                                              timeout=10) as sock:
+                    sock.sendall(_get("/v1/meta"))
+                    time.sleep(0.2)  # the loop has met EMFILE by now
+                    before = cpu_seconds()
+                    time.sleep(1.5)
+                    spent = cpu_seconds() - before
+                    assert spent < 0.3, \
+                        f"loop spun: {spent:.2f} CPU s in 1.5 s"
+                    cpu_seconds("free")
+                    with sock.makefile("rb") as reader:
+                        status, _, body = _read_response(reader)
+                    assert status == 200
+                    assert b'"store_version"' in body
+            finally:
+                proc.kill()

@@ -1,11 +1,10 @@
 """Wire-level fuzz tests for the HTTP serving layer.
 
 The serving contract under hostile input: every answerable request gets
-a JSON error envelope with a 4xx status, nothing a client sends raises
-out of a handler thread (``server.unhandled_errors`` is the tripwire),
-and resource-shaped attacks — oversized bodies, truncated chunk
-streams, half-sent bodies — neither stall a thread nor desync a
-connection.
+a JSON error envelope with a 4xx status, nothing a client sends escapes
+the transport (``server.unhandled_errors`` is the tripwire), and
+resource-shaped attacks — oversized bodies, truncated chunk streams,
+half-sent bodies — neither stall the server nor desync a connection.
 """
 
 import datetime as dt
@@ -21,7 +20,8 @@ import urllib.request
 import pytest
 
 from repro.providers.base import ListArchive, ListSnapshot
-from repro.service.api import QueryService, create_server
+from repro.service.api import QueryService
+from repro.service.eventloop import EventLoopServer
 from repro.service.store import ArchiveStore
 
 
@@ -34,7 +34,7 @@ def fuzz_server(tmp_path_factory):
                      (f"a{day}.example.com", "b.example.com", "c.example.org"))
         for day in range(3)]))
     service = QueryService(store)
-    server = create_server(service)
+    server = EventLoopServer(service)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     yield server
@@ -279,7 +279,7 @@ class TestHeaderAndParamFuzz:
                                                 monkeypatch):
         # An unexpected exception answers a 500 envelope naming only the
         # exception type — str(error) can carry server-side paths.
-        service = fuzz_server.RequestHandlerClass.service
+        service = fuzz_server.service
 
         def explode():
             raise OSError("[Errno 28] No space left on device: '/srv/secret'")

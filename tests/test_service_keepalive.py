@@ -16,11 +16,13 @@ on this) must not lose its connection to a stray 404.
 import datetime as dt
 import json
 import socket
+import threading
 
 import pytest
 
 from repro.providers.base import ListArchive, ListSnapshot
-from repro.service.api import QueryService, create_server
+from repro.service.api import QueryService
+from repro.service.eventloop import EventLoopServer
 from repro.service.store import ArchiveStore
 
 
@@ -34,12 +36,11 @@ def keepalive_server(tmp_path_factory):
     store = ArchiveStore.from_archives(
         tmp_path_factory.mktemp("keepalive"),
         {"alexa": ListArchive.from_snapshots(snapshots)})
-    server = create_server(QueryService(store))
-    import threading
-
+    server = EventLoopServer(QueryService(store))
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     yield server
+    assert server.unhandled_errors == [], server.unhandled_errors
     server.shutdown()
     server.server_close()
     store.close()
@@ -212,4 +213,16 @@ class TestNoDelay:
     def test_handler_disables_nagle(self, keepalive_server):
         """TCP_NODELAY is the keep-alive throughput fix: without it every
         small response waits out the client's delayed ACK (~40 ms)."""
-        assert keepalive_server.RequestHandlerClass.disable_nagle_algorithm
+        port = _port(keepalive_server)
+        with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
+            sock.sendall(_get("/v1/meta"))
+            with sock.makefile("rb") as reader:
+                assert _read_response(reader)[0] == 200
+            client_port = sock.getsockname()[1]
+            accepted = [
+                conn.sock for conn in list(keepalive_server._conns.values())
+                if conn.sock is not None
+                and conn.sock.getpeername()[1] == client_port]
+            assert len(accepted) == 1
+            assert accepted[0].getsockopt(socket.IPPROTO_TCP,
+                                          socket.TCP_NODELAY)
