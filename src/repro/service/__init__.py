@@ -30,7 +30,8 @@ answer queries without rebuilding the world per request:
 * :mod:`repro.service.shared_cache` — :class:`SharedPayloadCache`, the
   mmap-shared rendered-payload segment the pool's workers serve from.
 * :mod:`repro.service.balance` — :class:`Balancer`, a stdlib
-  round-robin proxy that ejects backends failing ``/v1/ready`` and
+  round-robin proxy on the same event loop, with pooled keep-alive
+  upstream connections, that ejects backends failing ``/v1/ready`` and
   re-admits them on recovery.
 
 The command-line entry point lives in :mod:`repro.service.cli`

@@ -37,6 +37,14 @@ and stops parsing that connection until the answer is ready; the answer
 comes back through the loop's wake-up socketpair.  Other connections,
 probes included, keep being served meanwhile.
 
+A service may also answer a GET or HEAD later: ``handle_request``
+returns a :class:`Pending` instead of a :class:`Response`, and the loop
+parks that connection the same way until the answer arrives.  Such a
+service registers its own sockets on :attr:`EventLoopServer.selector`
+with a callable as the key's ``data``; the loop calls it with the event
+mask.  This is how ``repro-serve balance`` proxies reads on this loop
+(:mod:`repro.service.balance`).
+
 :meth:`EventLoopServer.shutdown` drains: the loop stops accepting,
 closes idle connections, lets in-flight POSTs finish and flushes their
 answers, and joins the worker thread before ``serve_forever`` returns —
@@ -47,6 +55,8 @@ from __future__ import annotations
 
 import collections
 import errno
+import functools
+import math
 import os
 import queue
 import selectors
@@ -55,7 +65,7 @@ import threading
 import time
 from email.utils import formatdate
 from http.client import responses as _REASONS
-from typing import Any, Optional
+from typing import Any, Callable, Optional
 from urllib.parse import urlsplit
 
 from repro import faults
@@ -67,7 +77,7 @@ from repro.service.api import (
     allowed_methods, json_bytes)
 from repro.util.ringlog import RingLog
 
-__all__ = ["EventLoopServer"]
+__all__ = ["EventLoopServer", "Pending"]
 
 #: One recv per readiness event reads up to this much.
 _RECV_CHUNK = 65536
@@ -88,12 +98,37 @@ _READ = selectors.EVENT_READ
 _WRITE = selectors.EVENT_WRITE
 
 
+class Pending:
+    """A GET/HEAD answer that a service finishes later, on the loop thread.
+
+    ``handle_request`` returns one instead of a :class:`Response` when
+    the answer waits on I/O the loop must not block on (the balancer's
+    upstream exchange).  The loop parks the connection as it does for a
+    POST on the worker — no parsing, no idle reap — and calls
+    :meth:`start` with a ``finish`` callback.  The subclass calls
+    ``finish(response)`` exactly once, on the loop thread, possibly
+    from inside :meth:`start`.  Once the monotonic ``deadline`` has
+    passed, the idle sweep calls :meth:`expire`, which must finish or
+    move ``deadline``.
+    """
+
+    deadline = math.inf
+    #: (method, target, trace id, perf_counter start), set by the loop.
+    trace: tuple[str, str, str, float]
+
+    def start(self, finish: Callable[[Response], None]) -> None:
+        raise NotImplementedError
+
+    def expire(self) -> None:
+        raise NotImplementedError
+
+
 class _Connection:
     """Per-socket state: one of these per client, however idle."""
 
     __slots__ = ("sock", "fd", "inbuf", "scan_pos", "out", "events",
                  "closing", "draining", "discard", "pending", "need", "eof",
-                 "busy", "last_activity")
+                 "busy", "deferred", "last_activity")
 
     def __init__(self, sock: socket.socket, now: float) -> None:
         self.sock: Optional[socket.socket] = sock
@@ -108,7 +143,8 @@ class _Connection:
         self.pending: Optional[tuple[str, dict[str, str], bool]] = None
         self.need = 0               # body bytes the pending POST awaits
         self.eof = False
-        self.busy = False           # a POST is on the worker thread
+        self.busy = False           # a POST or a Pending answer is out
+        self.deferred: Optional[Pending] = None
         self.last_activity = now
 
 
@@ -120,7 +156,8 @@ class EventLoopServer:
     ``socketserver`` shapes.  Construct with either ``host``/``port`` or
     an already-listening ``listen_socket`` (the pre-fork pool's shared
     socket).  ``service`` is read on every dispatch, so tests can
-    monkeypatch its routes.
+    monkeypatch its routes.  ``selector`` is public for services that
+    answer with a :class:`Pending` and register sockets of their own.
 
     ``crash_exit_code``: when set, an injected crash
     (:class:`repro.faults.InjectedCrash`) on the loop or the POST worker
@@ -152,11 +189,11 @@ class EventLoopServer:
             self._owns_listen = False
         self._listen.setblocking(False)
         self.server_address = self._listen.getsockname()[:2]
-        self._selector = selectors.DefaultSelector()
+        self.selector = selectors.DefaultSelector()
         self._conns: dict[int, _Connection] = {}
         self._wake_recv, self._wake_send = socket.socketpair()
         self._wake_recv.setblocking(False)
-        #: POST jobs for the worker thread, and its finished answers.
+        #: POST jobs for the worker thread; callbacks for the loop thread.
         self._jobs: queue.SimpleQueue = queue.SimpleQueue()
         self._done: collections.deque = collections.deque()
         self._accepting = False
@@ -176,7 +213,7 @@ class EventLoopServer:
         worker = threading.Thread(target=self._post_worker,
                                   name="http-post", daemon=True)
         worker.start()
-        sel = self._selector
+        sel = self.selector
         sel.register(self._wake_recv, _READ, data="wake")
         self._resume_accept()
         next_sweep = time.monotonic() + poll_interval
@@ -188,16 +225,21 @@ class EventLoopServer:
                     if not self._conns:
                         break
                 for key, mask in sel.select(poll_interval):
-                    if key.data == "listen":
+                    data = key.data
+                    if data.__class__ is _Connection:
+                        self._handle_event(data, mask)
+                    elif data == "listen":
                         self._accept()
-                    elif key.data == "wake":
-                        self._finish_posts()
+                    elif data == "wake":
+                        self._drain_wake()
                     else:
-                        self._handle_event(key.data, mask)
+                        self._run(data, mask)  # a service's own socket
                 now = time.monotonic()
                 if now >= next_sweep:
                     self._sweep_idle(now)
                     next_sweep = now + poll_interval
+                while self._done:
+                    self._run(self._done.popleft())
         finally:
             self._jobs.put(None)
             worker.join()
@@ -231,13 +273,31 @@ class EventLoopServer:
             self._listen.close()
         for sock in (self._wake_recv, self._wake_send):
             sock.close()
-        self._selector.close()
+        self.selector.close()
+
+    def call_soon(self, callback: Callable[[], None]) -> None:
+        """Run ``callback()`` on the loop thread; safe from any thread."""
+        self._done.append(callback)
+        self._wake()
 
     def _wake(self) -> None:
         try:
             self._wake_send.send(b"x")
         except OSError:
             pass
+
+    def _drain_wake(self) -> None:
+        try:
+            self._wake_recv.recv(4096)
+        except OSError:
+            pass
+
+    def _run(self, callback: Callable[..., None], *args: Any) -> None:
+        """Run a loop callback; an escape is recorded, never fatal."""
+        try:
+            callback(*args)
+        except Exception as error:  # noqa: BLE001 — loop must survive
+            self._note_unhandled(error)
 
     def _begin_stop(self) -> None:
         self._stopping = True
@@ -252,12 +312,12 @@ class EventLoopServer:
     def _pause_accept(self) -> None:
         if self._accepting:
             self._accepting = False
-            self._selector.unregister(self._listen)
+            self.selector.unregister(self._listen)
 
     def _resume_accept(self) -> None:
         if not (self._accepting or self._stopping or self._closed):
             self._accepting = True
-            self._selector.register(self._listen, _READ, data="listen")
+            self.selector.register(self._listen, _READ, data="listen")
 
     def _accept(self) -> None:
         while True:
@@ -284,24 +344,24 @@ class EventLoopServer:
                 pass
             conn = _Connection(sock, time.monotonic())
             self._conns[conn.fd] = conn
-            self._selector.register(sock, _READ, data=conn)
+            self.selector.register(sock, _READ, data=conn)
 
     def _set_events(self, conn: _Connection, events: int) -> None:
         if conn.sock is None or conn.events == events:
             return
         if not events:
-            self._selector.unregister(conn.sock)
+            self.selector.unregister(conn.sock)
         elif not conn.events:
-            self._selector.register(conn.sock, events, data=conn)
+            self.selector.register(conn.sock, events, data=conn)
         else:
-            self._selector.modify(conn.sock, events, data=conn)
+            self.selector.modify(conn.sock, events, data=conn)
         conn.events = events
 
     def _close_conn(self, conn: _Connection) -> None:
         if conn.sock is None:
             return
         try:
-            self._selector.unregister(conn.sock)
+            self.selector.unregister(conn.sock)
         except (KeyError, ValueError):
             pass
         self._conns.pop(conn.fd, None)
@@ -315,9 +375,12 @@ class EventLoopServer:
 
     def _sweep_idle(self, now: float) -> None:
         cutoff = now - self.timeout
-        for conn in [c for c in self._conns.values()
-                     if c.last_activity < cutoff and not c.busy]:
-            self._close_conn(conn)
+        for conn in list(self._conns.values()):
+            if conn.deferred is not None:
+                if now >= conn.deferred.deadline:
+                    self._run(conn.deferred.expire)
+            elif conn.last_activity < cutoff and not conn.busy:
+                self._close_conn(conn)
         self._resume_accept()
 
     def _handle_event(self, conn: _Connection, mask: int) -> None:
@@ -340,15 +403,18 @@ class EventLoopServer:
                               TimeoutError)):
             self._close_conn(conn)
             return
-        self.unhandled_errors.append(error)
-        _M_UNHANDLED.inc()
-        obslog.log_event("http.unhandled_error", level="error",
-                         error=type(error).__name__)
+        self._note_unhandled(error)
         try:
             self._queue_error(conn, 500, "internal server error", close=True)
             self._flush(conn)
         except OSError:
             self._close_conn(conn)
+
+    def _note_unhandled(self, error: Exception) -> None:
+        self.unhandled_errors.append(error)
+        _M_UNHANDLED.inc()
+        obslog.log_event("http.unhandled_error", level="error",
+                         error=type(error).__name__)
 
     # -- the POST worker ---------------------------------------------------
     def _post_worker(self) -> None:
@@ -365,29 +431,44 @@ class EventLoopServer:
                 if faults.is_crash(exc) and self.crash_exit_code is not None:
                     os._exit(self.crash_exit_code)
                 error = exc
-            self._done.append((conn, response, error, close))
-            self._wake()
+            self.call_soon(functools.partial(
+                self._resume, conn, response, error, True, close))
 
-    def _finish_posts(self) -> None:
-        """Queue the worker's answers and resume parsing their connections."""
+    def _park(self, conn: _Connection, pending: Pending, send_body: bool,
+              close: bool, bare: bool = False) -> None:
+        """Hold ``conn`` until ``pending`` finishes (see :class:`Pending`)."""
+        conn.busy = True
+        conn.deferred = pending
+
+        def finish(response: Response) -> None:
+            self._observe(response, *pending.trace)
+            # Queued, not run: finish may be called from inside start(),
+            # which runs inside this connection's parse loop.
+            self._done.append(functools.partial(
+                self._resume, conn, response, None, send_body, close, bare))
+
+        pending.start(finish)
+
+    def _resume(self, conn: _Connection, response: Optional[Response],
+                error: Optional[BaseException], send_body: bool,
+                close: bool, bare: bool = False) -> None:
+        """Queue a parked connection's answer and resume parsing it."""
+        conn.busy = False
+        conn.deferred = None
+        if conn.sock is None:
+            return  # the client went away meanwhile
+        conn.last_activity = time.monotonic()
         try:
-            self._wake_recv.recv(4096)
-        except OSError:
-            pass
-        while self._done:
-            conn, response, error, close = self._done.popleft()
-            conn.busy = False
-            if conn.sock is None:
-                continue  # the client went away meanwhile
-            conn.last_activity = time.monotonic()
-            try:
-                if error is not None:
-                    raise error
-                self._queue_response(conn, response, send_body=True,
+            if error is not None:
+                raise error
+            if bare:
+                self._queue_bare_body(conn, response)
+            else:
+                self._queue_response(conn, response, send_body=send_body,
                                      close=close or self._stopping)
-                self._process(conn)
-            except BaseException as exc:  # noqa: BLE001 — loop must survive
-                self._handle_error(conn, exc)
+            self._process(conn)
+        except BaseException as exc:  # noqa: BLE001 — loop must survive
+            self._handle_error(conn, exc)
 
     def _read(self, conn: _Connection) -> None:
         assert conn.sock is not None
@@ -605,8 +686,13 @@ class EventLoopServer:
                     must_close = must_close or length > _MAX_DISCARDED_BODY
         if method in ("GET", "HEAD"):
             response = self._service_call(method, target, headers, b"")
-            self._queue_response(conn, response, send_body=method != "HEAD",
-                                 close=must_close)
+            if isinstance(response, Pending):
+                self._park(conn, response, send_body=method != "HEAD",
+                           close=must_close)
+            else:
+                self._queue_response(conn, response,
+                                     send_body=method != "HEAD",
+                                     close=must_close)
         elif method in _WRITEISH_METHODS:
             allow = allowed_methods(urlsplit(target).path)
             self._queue_error(
@@ -642,12 +728,19 @@ class EventLoopServer:
     def _dispatch_simple(self, conn: _Connection, target: str) -> None:
         """HTTP/0.9: body only, then close (stdlib degradation parity)."""
         response = self._service_call("GET", target, {}, b"")
+        if isinstance(response, Pending):
+            self._park(conn, response, send_body=True, close=True, bare=True)
+        else:
+            self._queue_bare_body(conn, response)
+
+    def _queue_bare_body(self, conn: _Connection, response: Response) -> None:
         if response.body:
             conn.out.append(self._fault_body(conn, response.body))
         conn.closing = True
 
     def _service_call(self, method: str, target: str,
-                      headers: dict[str, str], body: bytes) -> Response:
+                      headers: dict[str, str], body: bytes
+                      ) -> Response | Pending:
         """One traced service call: the wire layer's telemetry lives here.
 
         A request either presents an ``X-Request-Id`` (propagated
@@ -657,7 +750,8 @@ class EventLoopServer:
         stamped into every structured log line the call emits.  Wire
         requests cost far more than a cached in-process read, so
         registry counters and a histogram observation are affordable
-        here — unlike in :meth:`QueryService.handle_request`.
+        here — unlike in :meth:`QueryService.handle_request`.  A
+        :class:`Pending` answer is observed when it finishes.
         """
         trace_id = headers.get("X-Request-Id") or tracing.new_trace_id()
         start = time.perf_counter()
@@ -665,19 +759,32 @@ class EventLoopServer:
         try:
             response = self.service.handle_request(
                 target, headers, method=method, body=body)
-            duration = time.perf_counter() - start
-            response.headers["X-Request-Id"] = trace_id
-            _M_REQUESTS.labels(method=method).inc()
-            _M_REQUEST_SECONDS.observe(duration)
-            if obslog.enabled("debug"):
+            if isinstance(response, Pending):
+                response.trace = (method, target, trace_id, start)
+            else:
+                self._observe(response, method, target, trace_id, start)
+            return response
+        finally:
+            tracing.deactivate(token)
+
+    def _observe(self, response: Response, method: str, target: str,
+                 trace_id: str, start: float) -> None:
+        """Echo the request id; record the request's metrics and log line."""
+        duration = time.perf_counter() - start
+        response.headers["X-Request-Id"] = trace_id
+        _M_REQUESTS.labels(method=method).inc()
+        _M_REQUEST_SECONDS.observe(duration)
+        if obslog.enabled("debug"):
+            # A Pending answer finishes outside the request's trace.
+            token = tracing.activate(trace_id)
+            try:
                 obslog.log_event(
                     "http.request", level="debug", method=method,
                     path=target, status=response.status,
                     duration_ms=round(duration * 1000.0, 3),
                     cache=response.headers.get("X-Repro-Cache"))
-            return response
-        finally:
-            tracing.deactivate(token)
+            finally:
+                tracing.deactivate(token)
 
     # -- response assembly -------------------------------------------------
     def _date_bytes(self) -> bytes:

@@ -5,19 +5,32 @@ The proxy's contract: any admitted backend may answer any request
 ``/v1/ready`` leaves the rotation until the probe passes again, and
 backend HTTP statuses — including clean 4xx — pass through verbatim
 while connection-level failures are absorbed by retrying the next
-backend.
+backend.  The event-loop proxy's own cases come last: one ``Server``
+and ``Date`` per answer, HEAD parity with a direct HEAD, edge request
+ids, per-backend metrics, upstream connection reuse, and the pool's
+failure modes (idle reaps, a close racing a reused connection, a
+stalled backend).
 """
 
 import datetime as dt
+import http.client
+import io
 import json
+import os
 import socket
+import subprocess
+import sys
 import threading
+import time
 import urllib.error
 import urllib.request
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from pathlib import Path
 
 import pytest
 
+from repro.obs import logging as obslog
+from repro.obs.metrics import parse_exposition
 from repro.providers.base import ListArchive, ListSnapshot
 from repro.service.api import QueryService
 from repro.service.eventloop import EventLoopServer
@@ -389,3 +402,312 @@ def _now():
 
 def _deadline(seconds: float) -> float:
     return _now() + seconds
+
+
+# -- the event-loop balancer ----------------------------------------------
+
+def _raw_exchange(port: int, payload: bytes) -> bytes:
+    """Send ``payload``, half-close, return every byte the server sent."""
+    with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
+        sock.sendall(payload)
+        sock.shutdown(socket.SHUT_WR)
+        chunks = []
+        while True:
+            chunk = sock.recv(65536)
+            if not chunk:
+                return b"".join(chunks)
+            chunks.append(chunk)
+
+
+def _head_lines(raw: bytes) -> tuple[bytes, list[tuple[str, str]]]:
+    head = raw.split(b"\r\n\r\n", 1)[0].decode("latin-1").split("\r\n")
+    fields = [tuple(part.strip() for part in line.split(":", 1))
+              for line in head[1:]]
+    return head[0].encode(), fields
+
+
+class TestProxiedHeaders:
+    def test_one_server_and_one_date_header(self, backends):
+        servers, _ = backends
+        with Balancer(_urls(servers), check_interval=0.1) as balancer:
+            raw = _raw_exchange(balancer.port,
+                                b"GET /v1/meta HTTP/1.1\r\nHost: t\r\n\r\n")
+        _, fields = _head_lines(raw)
+        names = [name.lower() for name, _ in fields]
+        assert names.count("server") == 1, fields
+        assert names.count("date") == 1, fields
+        assert names.count("content-length") == 1, fields
+
+    def test_head_answers_like_head_sent_direct(self, backends):
+        servers, _ = backends
+        request = b"HEAD /v1/meta HTTP/1.1\r\nHost: t\r\n\r\n"
+        with Balancer(_urls(servers), check_interval=0.1) as balancer:
+            assert _get(f"http://127.0.0.1:{balancer.port}/v1/meta")[0] \
+                == 200  # warm the cache: both HEADs below are hits
+            direct = _raw_exchange(servers[0].server_address[1], request)
+            proxied = _raw_exchange(balancer.port, request)
+
+        def comparable(raw):
+            status, fields = _head_lines(raw)
+            return status, [(name, value) for name, value in fields
+                            if name not in ("Date", "X-Request-Id")]
+
+        assert comparable(proxied) == comparable(direct)
+        length = dict(_head_lines(direct)[1])["Content-Length"]
+        assert int(length) > 0
+        assert proxied.endswith(b"\r\n\r\n")  # and no body
+
+
+class TestEdgeRequestIds:
+    def test_backend_log_and_response_carry_the_edge_id(self, tmp_path):
+        """The balancer mints the id, forwards it and echoes it; a
+        client's own id passes through verbatim."""
+        snapshots = [ListSnapshot("alexa", dt.date(2018, 5, 1),
+                                  ("a.com", "b.org"))]
+        ArchiveStore.from_archives(
+            tmp_path / "store",
+            {"alexa": ListArchive.from_snapshots(snapshots)}).close()
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent
+                                / "src")
+        log_path = tmp_path / "backend.log"
+        with open(log_path, "wb") as log:
+            backend = subprocess.Popen(
+                [sys.executable, "-m", "repro.service.cli", "serve",
+                 "--store", str(tmp_path / "store"), "--port", "0",
+                 "--log-level", "debug"], stderr=log, env=env)
+        try:
+            port = None
+            deadline = time.monotonic() + 30
+            while port is None and time.monotonic() < deadline:
+                for line in log_path.read_text().splitlines():
+                    if '"serve.start"' in line and line.endswith("}"):
+                        url = json.loads(line)["url"]
+                        port = int(url.split(":")[2].split("/")[0])
+                time.sleep(0.05)
+            assert port is not None, log_path.read_text()
+            stream = io.StringIO()
+            saved = dict(obslog._state)
+            obslog.configure(level="debug", stream=stream)
+            try:
+                with Balancer([f"http://127.0.0.1:{port}"],
+                              check_interval=30) as balancer:
+                    url = f"http://127.0.0.1:{balancer.port}/v1/meta"
+                    with urllib.request.urlopen(url, timeout=10) as response:
+                        minted = response.headers["X-Request-Id"]
+                    request = urllib.request.Request(
+                        url, headers={"X-Request-Id": "client-chosen-1"})
+                    with urllib.request.urlopen(request,
+                                                timeout=10) as response:
+                        echoed = response.headers["X-Request-Id"]
+            finally:
+                obslog._state.update(saved)
+        finally:
+            backend.terminate()
+            backend.wait(timeout=10)
+        assert minted and len(minted) == 16
+        assert echoed == "client-chosen-1"
+
+        def request_ids(text):
+            return {record["trace_id"] for record in map(
+                json.loads, text.splitlines())
+                if record["event"] == "http.request"
+                and record["path"] == "/v1/meta"}
+
+        assert {minted, echoed} <= request_ids(log_path.read_text())
+        assert {minted, echoed} <= request_ids(stream.getvalue())
+
+
+class TestBalancerMetrics:
+    def test_metrics_export_per_backend_tallies(self, backends):
+        servers, _ = backends
+        with Balancer(_urls(servers), check_interval=30) as balancer:
+            base = f"http://127.0.0.1:{balancer.port}"
+            for _ in range(6):
+                assert _get(base + "/v1/meta")[0] == 200
+            with urllib.request.urlopen(base + "/v1/metrics",
+                                        timeout=10) as response:
+                assert response.headers["Content-Type"].startswith(
+                    "text/plain; version=0.0.4")
+                samples = parse_exposition(response.read().decode())
+            state = balancer.status()["backends"]
+        for backend in state:
+            label = f'{{backend="{backend["url"]}"}}'
+            for key in ("requests", "errors", "ejections", "readmissions",
+                        "retries", "upstream_connects"):
+                assert samples[f"repro_balancer_{key}_total{label}"] \
+                    == backend[key], key
+            assert samples[f"repro_balancer_admitted{label}"] == 1
+            assert backend["requests"] == 3
+
+    def test_serial_gets_reuse_upstream_connections(self, backends):
+        servers, _ = backends
+        with Balancer(_urls(servers), check_interval=0.1) as balancer:
+            client = http.client.HTTPConnection("127.0.0.1", balancer.port,
+                                                timeout=10)
+            try:
+                for _ in range(200):
+                    client.request("GET", "/v1/meta")
+                    response = client.getresponse()
+                    response.read()
+                    assert response.status == 200
+            finally:
+                client.close()
+            state = balancer.status()["backends"]
+        assert [b["requests"] for b in state] == [100, 100]
+        assert all(1 <= b["upstream_connects"] <= 2 for b in state), state
+
+
+class _ScriptedBackend:
+    """A raw-socket backend whose answers a test scripts.
+
+    ``/v1/ready`` always answers 200.  Any other request is passed to
+    ``script(n)``, ``n`` counting requests on that connection from 1:
+    ``"answer"`` sends a keep-alive 200, ``"answer-close"`` a 200 with
+    ``Connection: close``, ``"answer-eof"`` a 200 whose body ends at
+    EOF (no ``Content-Length``), ``"close"`` closes without a byte and
+    ``"stall"`` holds the connection silently until ``close()``.
+    """
+
+    BODY = b'{"scripted": true}'
+
+    def __init__(self, script) -> None:
+        self.script = script
+        self.listener = socket.create_server(("127.0.0.1", 0))
+        self.port = self.listener.getsockname()[1]
+        self.url = f"http://127.0.0.1:{self.port}"
+        self.released = threading.Event()
+        threading.Thread(target=self._accept, daemon=True).start()
+
+    def _accept(self) -> None:
+        while True:
+            try:
+                sock, _ = self.listener.accept()
+            except OSError:
+                return
+            threading.Thread(target=self._serve, args=(sock,),
+                             daemon=True).start()
+
+    def _serve(self, sock: socket.socket) -> None:
+        with sock:
+            buf, n = b"", 0
+            while True:
+                while b"\r\n\r\n" not in buf:
+                    chunk = sock.recv(65536)
+                    if not chunk:
+                        return
+                    buf += chunk
+                head, buf = buf.split(b"\r\n\r\n", 1)
+                path = head.split()[1]
+                action = "answer"
+                if path != b"/v1/ready":
+                    n += 1
+                    action = self.script(n)
+                if action == "close":
+                    return
+                if action == "stall":
+                    self.released.wait()
+                    return
+                framing = b"" if action == "answer-eof" else \
+                    b"Content-Length: %d\r\n" % len(self.BODY)
+                if action == "answer-close":
+                    framing += b"Connection: close\r\n"
+                sock.sendall(b"HTTP/1.1 200 OK\r\nContent-Type: "
+                             b"application/json\r\n" + framing + b"\r\n"
+                             + self.BODY)
+                if action != "answer":
+                    return
+
+    def close(self) -> None:
+        self.released.set()
+        self.listener.close()
+
+
+class TestUpstreamFailures:
+    def test_backend_idle_reap_is_not_a_failure(self, backends):
+        """A pooled connection the backend reaped while idle: the next
+        GET still answers, with no error and no ejection."""
+        servers, _ = backends
+        for server in servers:
+            server.timeout = 0.2
+        with Balancer(_urls(servers), check_interval=30) as balancer:
+            base = f"http://127.0.0.1:{balancer.port}"
+            for _ in range(2):
+                assert _get(base + "/v1/meta")[0] == 200
+            time.sleep(1.5)  # past the reap and a backend sweep
+            for _ in range(2):
+                assert _get(base + "/v1/meta")[0] == 200
+            state = balancer.status()["backends"]
+        assert [(b["errors"], b["ejections"]) for b in state] == \
+            [(0, 0), (0, 0)]
+        assert [b["upstream_connects"] for b in state] == [2, 2]
+
+    def test_reused_connection_closed_before_answer_is_retried_fresh(self):
+        """The race the idle watch cannot see: the backend closes a
+        pooled connection just as a request goes out on it."""
+        scripted = _ScriptedBackend(
+            lambda n: "answer" if n == 1 else "close")
+        try:
+            with Balancer([scripted.url], check_interval=30) as balancer:
+                base = f"http://127.0.0.1:{balancer.port}"
+                for _ in range(2):
+                    assert _get(base + "/v1/meta") == (200,
+                                                       scripted.BODY)
+                (state,) = balancer.status()["backends"]
+        finally:
+            scripted.close()
+        assert state["admitted"]
+        assert (state["errors"], state["ejections"]) == (0, 0)
+        assert (state["requests"], state["retries"],
+                state["upstream_connects"]) == (2, 1, 2)
+
+    @pytest.mark.parametrize("action", ["answer-close", "answer-eof"])
+    def test_closing_answers_are_not_pooled(self, action):
+        scripted = _ScriptedBackend(lambda n: action)
+        try:
+            with Balancer([scripted.url], check_interval=30) as balancer:
+                base = f"http://127.0.0.1:{balancer.port}"
+                for _ in range(3):
+                    assert _get(base + "/v1/meta") == (200, scripted.BODY)
+                (state,) = balancer.status()["backends"]
+        finally:
+            scripted.close()
+        assert (state["errors"], state["retries"],
+                state["upstream_connects"]) == (0, 0, 3)
+
+    def test_stalled_backend_does_not_block_other_reads(self, backends):
+        """One backend accepts and never answers: reads routed to the
+        other backend answer within 0.5 s, and the stalled read is
+        retried there once ``timeout`` (1 s) has passed."""
+        servers, _ = backends
+        stalled = _ScriptedBackend(lambda n: "stall")
+        try:
+            with Balancer([stalled.url, _urls(servers)[1]],
+                          check_interval=30, timeout=1.0) as balancer:
+                base = f"http://127.0.0.1:{balancer.port}"
+                outcome = {}
+
+                def stalled_read():
+                    began = time.monotonic()
+                    outcome["result"] = _get(base + "/v1/meta")
+                    outcome["elapsed"] = time.monotonic() - began
+
+                thread = threading.Thread(target=stalled_read)
+                thread.start()
+                deadline = time.monotonic() + 5
+                while (balancer.status()["backends"][0]["requests"] < 1
+                       and time.monotonic() < deadline):
+                    time.sleep(0.01)  # until the read is on the stalled one
+                began = time.monotonic()
+                assert _get(base + "/v1/meta")[0] == 200  # the other one
+                assert time.monotonic() - began < 0.5
+                thread.join(timeout=10)
+                assert not thread.is_alive()
+                state = balancer.status()["backends"]
+        finally:
+            stalled.close()
+        assert outcome["result"][0] == 200
+        assert 1.0 <= outcome["elapsed"] < 3.0, outcome
+        assert not state[0]["admitted"]
+        assert (state[0]["errors"], state[0]["ejections"]) == (1, 1)
+        assert state[1]["retries"] == 1

@@ -25,14 +25,19 @@ from repro.service.eventloop import EventLoopServer
 from repro.service.store import ArchiveStore
 
 
-@pytest.fixture(scope="module")
-def fuzz_server(tmp_path_factory):
-    root = tmp_path_factory.mktemp("fuzzstore")
+def build_store(root) -> ArchiveStore:
+    """Three days of alexa (also the balancer target's store)."""
     store = ArchiveStore(root / "s")
     store.append_archive(ListArchive.from_snapshots([
         ListSnapshot("alexa", dt.date(2018, 1, 1) + dt.timedelta(days=day),
                      (f"a{day}.example.com", "b.example.com", "c.example.org"))
         for day in range(3)]))
+    return store
+
+
+@pytest.fixture(scope="module")
+def fuzz_server(tmp_path_factory):
+    store = build_store(tmp_path_factory.mktemp("fuzzstore"))
     service = QueryService(store)
     server = EventLoopServer(service)
     thread = threading.Thread(target=server.serve_forever, daemon=True)

@@ -26,16 +26,20 @@ from repro.service.eventloop import EventLoopServer
 from repro.service.store import ArchiveStore
 
 
-@pytest.fixture(scope="module")
-def keepalive_server(tmp_path_factory):
+def build_store(root) -> ArchiveStore:
+    """Three days of a three-name alexa list (also the balancer target's)."""
     snapshots = [
         ListSnapshot("alexa", dt.date(2018, 5, 1) + dt.timedelta(days=day),
                      ("a.com", "b.org", "c.net"))
         for day in range(3)
     ]
-    store = ArchiveStore.from_archives(
-        tmp_path_factory.mktemp("keepalive"),
-        {"alexa": ListArchive.from_snapshots(snapshots)})
+    return ArchiveStore.from_archives(
+        root, {"alexa": ListArchive.from_snapshots(snapshots)})
+
+
+@pytest.fixture(scope="module")
+def keepalive_server(tmp_path_factory):
+    store = build_store(tmp_path_factory.mktemp("keepalive"))
     server = EventLoopServer(QueryService(store))
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
