@@ -7,8 +7,9 @@ shared listening socket) plus one HTTP-replication follower process, both
 fronted by ``repro-serve balance`` — then exercises it the way the README
 says operators should expect it to behave:
 
-1. mixed read + ingest load through the balancer (ingests land on the
-   pool, whose read workers forward them to the designated writer);
+1. mixed read + ingest load through the balancer (ingests go only to
+   the pool, never to the read-only follower, and the pool's read
+   workers forward them to the designated writer);
 2. SIGKILL one read worker mid-load — the survivors must answer every
    request with a non-5xx status (connection-level resets on the victim's
    in-flight sockets are retried by the balancer, never surfaced), and
@@ -29,6 +30,7 @@ import datetime as dt
 import json
 import os
 import signal
+import socket
 import subprocess
 import sys
 import tempfile
@@ -72,6 +74,17 @@ def _wait_ready(url: str, timeout: float = 30.0) -> None:
     raise AssertionError(f"{url} never became ready")
 
 
+def _free_port() -> int:
+    """A port nothing listens on or connects from right now.
+
+    A fixed offset from the pool's (ephemeral) port can collide with a
+    client socket's ephemeral port, and the follower then fails to bind.
+    """
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        return sock.getsockname()[1]
+
+
 def _spawn_follower(store_dir: Path, leader: str, port: int) -> subprocess.Popen:
     env = dict(os.environ)
     env["PYTHONPATH"] = (str(REPO_ROOT / "src")
@@ -89,16 +102,47 @@ def _balancer_state(base: str) -> dict:
     return json.loads(_get(base + "/v1/balancer")[1])
 
 
-def _wait_admitted(base: str, count: int, timeout: float = 30.0) -> dict:
+def _wait_admitted(base: str, expected: list[bool],
+                   timeout: float = 30.0) -> dict:
+    """Wait until each backend's admitted flag equals ``expected``.
+
+    Per backend, not a count: a pool reader that has not yet adopted the
+    last ingest answers ``/v1/ready`` with 503, so one probe can eject
+    the pool for a check interval, and a count alone would then mistake
+    the pool for the backend the phase expects out of rotation.
+    """
     deadline = time.monotonic() + timeout
     payload = _balancer_state(base)
     while time.monotonic() < deadline:
         payload = _balancer_state(base)
-        if payload["admitted"] == count:
+        if [b["admitted"] for b in payload["backends"]] == expected:
             return payload
         time.sleep(0.1)
     raise AssertionError(
-        f"balancer never reached admitted={count}: {payload}")
+        f"balancer never reached admitted={expected}: {payload}")
+
+
+def _post_ingest(base: str, body: bytes) -> int:
+    """POST an ingest through the balancer; retry only its own 503.
+
+    The balancer answers 503 + ``Retry-After`` without sending anything
+    upstream when no writable backend is admitted, which happens while
+    a probe has ejected the pool (a reader still one version behind the
+    previous ingest answers ``/v1/ready`` with 503).  Any other status
+    is the backend's answer and is returned as is.
+    """
+    for _attempt in range(50):
+        request = urllib.request.Request(
+            base + "/v1/ingest", data=body, method="POST",
+            headers={"Content-Type": "application/json"})
+        try:
+            with urllib.request.urlopen(request, timeout=30) as response:
+                return response.status
+        except urllib.error.HTTPError as error:
+            if error.code != 503 or "Retry-After" not in error.headers:
+                return error.code
+        time.sleep(0.1)
+    raise AssertionError("POST /v1/ingest: no writable backend for 5 s")
 
 
 def _load(base: str, n: int) -> list[int]:
@@ -130,14 +174,14 @@ def main() -> None:
                         poll_interval=0.05) as pool:
             pool_url = f"http://127.0.0.1:{pool.port}"
             print(f"booting the follower (tailing {pool_url}) ...")
-            follower_port = pool.port + 71
+            follower_port = _free_port()
             follower = _spawn_follower(follower_dir, pool_url, follower_port)
             follower_url = f"http://127.0.0.1:{follower_port}"
             try:
                 with Balancer([pool_url, follower_url],
                               check_interval=0.1) as balancer:
                     base = f"http://127.0.0.1:{balancer.port}"
-                    _wait_admitted(base, 2)
+                    _wait_admitted(base, [True, True])
                     print("phase 1: mixed read/ingest load, both admitted")
                     statuses = _load(base, 60)
                     last = max(max(archive.dates())
@@ -148,11 +192,7 @@ def main() -> None:
                             "provider": "alexa", "date": day.isoformat(),
                             "entries": ["scaleout.example", "smoke.example"],
                         }).encode()
-                        request = urllib.request.Request(
-                            pool_url + "/v1/ingest", data=body, method="POST",
-                            headers={"Content-Type": "application/json"})
-                        with urllib.request.urlopen(request, timeout=30) as r:
-                            assert r.status == 200
+                        assert _post_ingest(base, body) == 200
                     statuses += _load(base, 40)
 
                     print("phase 2: SIGKILL one read worker mid-load")
@@ -177,7 +217,7 @@ def main() -> None:
                           "replacement -> re-admission")
                     follower.kill()
                     follower.wait(timeout=10)
-                    payload = _wait_admitted(base, 1)
+                    payload = _wait_admitted(base, [True, False])
                     ejected = payload["backends"][1]
                     assert not ejected["admitted"], payload
                     assert ejected["ejections"] >= 1, payload
@@ -185,7 +225,7 @@ def main() -> None:
                         assert status == 200
                     follower = _spawn_follower(
                         Path(tmp) / "follower2", pool_url, follower_port)
-                    payload = _wait_admitted(base, 2)
+                    payload = _wait_admitted(base, [True, True])
                     assert payload["backends"][1]["readmissions"] >= 1, payload
                     for status in _load(base, 10):
                         assert status == 200

@@ -36,7 +36,7 @@ from repro.core.cache import (
     snapshot_base_domains,
     snapshot_base_ids,
 )
-from repro.core.interning import BaseIdColumn, DomainInterner, default_interner
+from repro.interning import BaseIdColumn, DomainInterner, default_interner
 from repro.core.recommendations import (
     Finding,
     RecommendationReport,

@@ -12,7 +12,8 @@ replica sync cycles, retries, error envelopes).  True hot paths — the
 plain ``int`` attributes on their owning object (GIL-atomic to read,
 never torn) and :meth:`MetricsRegistry.render` merges those in at
 scrape time via the ``extra`` parameter.  The measured dormant cost of
-the hot-path scheme is <2% of a cached read (``BENCH_obs.json``).
+the hot-path scheme is <2% of a cached read
+(``tests/test_obs.py::TestDormantOverhead``).
 
 Rendering follows the Prometheus text-exposition format v0.0.4 and is
 deterministic: families sorted by name, labelled children sorted by

@@ -361,8 +361,9 @@ class QueryService:
         self._loaded_version: Optional[int] = None
         # Hot-path telemetry: plain ints, not registry counters.  A
         # cached read costs ~5 µs, so its entire budget (<2%, see
-        # BENCH_obs.json) is one GIL-atomic ``+= 1``; readers (the
-        # /v1/metrics scrape, /v1/health) see whole values, never torn.
+        # test_obs.TestDormantOverhead) is one GIL-atomic ``+= 1``;
+        # readers (the /v1/metrics scrape, /v1/health) see whole
+        # values, never torn.
         self._cache_hits = 0
         self._cache_misses = 0
         self._cache_evictions = 0

@@ -34,23 +34,25 @@ answer and pass through verbatim.  Retries respect idempotency:
   single response byte was closed by the backend while idle: the read
   is retried once on a fresh connection to the same backend, with no
   error counted and no ejection.
-* **POST** (and anything else non-idempotent) fails over only when the
-  connection died *before* the request was transmitted.  Once any
-  request byte may have reached a backend, a replay could apply the
-  same ingest twice (the first backend may have appended the day and
-  died before answering), so the proxy answers 502 and leaves the
-  retry decision to the client, who can ask the store whether the
-  write landed.
+* **POST** (and anything else non-idempotent) goes only to admitted
+  backends whose last ``/v1/ready`` answer did not name the
+  ``follower`` role (a follower is read-only and answers 403), and
+  fails over only when the connection died *before* the request was
+  transmitted.  Once any request byte may have reached a backend, a
+  replay could apply the same ingest twice (the first backend may have
+  appended the day and died before answering), so the proxy answers
+  502 and leaves the retry decision to the client, who can ask the
+  store whether the write landed.
 
 Every request carries an ``X-Request-Id`` upstream: the client's,
 verbatim, or one minted here, echoed on the answer either way, so a
 client's id, the balancer's and the backend's log lines correlate.
 
 ``GET /v1/balancer`` on the proxy itself reports the rotation: per
-backend admitted/ejected state, probe counters, proxied request
-tallies, ejection/re-admission counts.  ``GET /v1/metrics`` exports the
-same tallies (plus this process's HTTP metrics) in the Prometheus text
-format.
+backend admitted/ejected state, last probed role, probe counters,
+proxied request tallies, ejection/re-admission counts.  ``GET
+/v1/metrics`` exports the same tallies (plus this process's HTTP
+metrics) in the Prometheus text format.
 """
 
 from __future__ import annotations
@@ -220,6 +222,15 @@ def _blocking_exchange(sock: socket.socket, request: bytes) -> Response:
                 return parsed[0]
 
 
+def _probe_role(body: bytes) -> Optional[str]:
+    """The ``role`` a ``/v1/ready`` body names, or ``None``."""
+    try:
+        role = json.loads(body).get("role")
+    except (ValueError, AttributeError):
+        return None
+    return role if isinstance(role, str) else None
+
+
 class Backend:
     """One upstream server in the rotation."""
 
@@ -232,6 +243,9 @@ class Backend:
         self.netloc = f"{self.host}:{self.port}"
         self.url = f"http://{self.netloc}"
         self.admitted = True
+        #: ``role`` from the last ``/v1/ready`` answer (``None`` until one
+        #: arrives); a ``follower`` takes no POSTs.
+        self.role: Optional[str] = None
         self.consecutive_failures = 0
         self.probes = 0
         self.requests = 0
@@ -248,6 +262,7 @@ class Backend:
         return {
             "url": self.url,
             "admitted": self.admitted,
+            "role": self.role,
             "probes": self.probes,
             "consecutive_failures": self.consecutive_failures,
             "requests": self.requests,
@@ -477,14 +492,16 @@ class Balancer:
         self._threads: list[threading.Thread] = []
 
     # -- rotation ---------------------------------------------------------
-    def pick(self, retry: bool = False) -> Optional[Backend]:
+    def pick(self, retry: bool = False,
+             writes: bool = False) -> Optional[Backend]:
         """Next admitted backend (round-robin), or ``None`` if all out.
 
-        Counts the request against the backend it returns (and, for
-        ``retry``, the retry).
+        ``writes`` skips read-only followers.  Counts the request
+        against the backend it returns (and, for ``retry``, the retry).
         """
         with self._lock:
-            admitted = [b for b in self.backends if b.admitted]
+            admitted = [b for b in self.backends if b.admitted and not (
+                writes and b.role == "follower")]
             if not admitted:
                 return None
             backend = admitted[self._rr % len(admitted)]
@@ -572,13 +589,15 @@ class Balancer:
             request = _request_bytes("GET", "/v1/ready", backend, {}, b"",
                                      None)
             try:
-                status = _blocking_exchange(
-                    _blocking_connect(backend, self.timeout), request).status
-                ok = status == 200
-                error = None if ok else f"status {status}"
+                response = _blocking_exchange(
+                    _blocking_connect(backend, self.timeout), request)
+                ok = response.status == 200
+                error = None if ok else f"status {response.status}"
             except OSError as probe_error:
                 ok = False
                 error = f"{type(probe_error).__name__}: {probe_error}"
+            else:
+                backend.role = _probe_role(response.body)
             backend.last_probe_error = error
             if ok:
                 backend.consecutive_failures = 0
@@ -654,7 +673,7 @@ class Balancer:
         connection: fail over only while nothing was transmitted."""
         trace_id = tracing.current_trace_id()
         for attempt in range(len(self.backends)):
-            backend = self.pick(retry=attempt > 0)
+            backend = self.pick(retry=attempt > 0, writes=True)
             if backend is None:
                 break
             try:

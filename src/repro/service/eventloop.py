@@ -70,7 +70,7 @@ from urllib.parse import urlsplit
 
 from repro import faults
 from repro.obs import logging as obslog
-from repro.obs import tracing
+from repro.obs import metrics, tracing
 from repro.service.api import (
     MAX_BODY_BYTES, UNHANDLED_ERRORS_CAPACITY, QueryService, Response,
     _M_ERRORS, _M_REQUESTS, _M_REQUEST_SECONDS, _M_UNHANDLED,
@@ -96,6 +96,10 @@ _WRITEISH_METHODS = frozenset({"PUT", "DELETE", "PATCH"})
 
 _READ = selectors.EVENT_READ
 _WRITE = selectors.EVENT_WRITE
+
+_M_ACCEPT_PAUSES = metrics.counter(
+    "repro_http_accept_pauses_total",
+    "Times the loop stopped accepting because fds ran out (EMFILE/ENFILE).")
 
 
 class Pending:
@@ -331,6 +335,7 @@ class EventLoopServer:
                     # readable and would spin the loop.  Stop watching it
                     # until a connection closes or the next idle sweep.
                     self._pause_accept()
+                    _M_ACCEPT_PAUSES.inc()
                     obslog.log_event("http.accept_paused", level="warning",
                                      error=errno.errorcode[error.errno])
                 return

@@ -54,6 +54,16 @@ def small_run(small_config: SimulationConfig) -> SimulationRun:
 
 
 @pytest.fixture(scope="session")
+def benchmark_run_6d() -> SimulationRun:
+    """Six days at the benchmark configuration (4000-entry lists).
+
+    Shared by the seed-parity oracles and the interning memory guard,
+    so the ~6 s simulation runs once per session.
+    """
+    return run_simulation(SimulationConfig.benchmark(n_days=6))
+
+
+@pytest.fixture(scope="session")
 def internet(small_run: SimulationRun) -> SyntheticInternet:
     """The synthetic Internet behind the small run."""
     return small_run.internet

@@ -1,6 +1,6 @@
 """Tests for the interned-domain columnar core (:mod:`repro.interning`).
 
-Three groups:
+Four groups:
 
 * property-based round trips through the interner (domain ↔ id must be a
   bijection, stable under re-interning and arbitrary interleaving);
@@ -8,13 +8,18 @@ Three groups:
   normalisation rule, invalidation on ``add_rule``);
 * id-lane vs string-lane parity of the set operations on real scenario
   archives (the columnar fast paths must count exactly what the string
-  pipeline counts).
+  pipeline counts);
+* the id lane's ``tracemalloc`` peak against a reconstruction of the
+  string pipeline on six benchmark days.
 """
 
 from __future__ import annotations
 
 import datetime as dt
+import gc
 import pickle
+import tracemalloc
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -28,7 +33,7 @@ from repro.core.cache import (
 )
 from repro.core.intersection import intersection_over_time
 from repro.core.structure import normalise_to_base_domains
-from repro.domain.psl import PublicSuffixList
+from repro.domain.psl import PublicSuffixList, default_list
 from repro.interning import DomainInterner, base_of, default_interner
 from repro.providers.base import ListArchive, ListSnapshot
 
@@ -233,3 +238,115 @@ class TestIdStringSetOpParity:
                                 else head.domain_set())
                 expected = set.intersection(*(set(s) for s in sets))
                 assert count == len(expected), (date, names)
+
+
+def _string_lane_intersection(archives, psl):
+    """The pre-interning Figure-1a pipeline, reconstructed faithfully.
+
+    Per-day raw string frozensets, a string-keyed base memo, string
+    refcount deltas and string-set intersections: the shape the library
+    had before the columnar refactor, and the memory baseline the id
+    lane must stay under.
+    """
+    memo: dict = {}
+
+    def base_of_str(name):
+        base = memo.get(name)
+        if base is None:
+            base = memo[name] = base_of(name, psl)
+        return base
+
+    common_dates = sorted(set.intersection(
+        *(set(a.dates()) for a in archives.values())))
+    per_archive = {}
+    for name, archive in archives.items():
+        result = {}
+        counts: dict[str, int] = {}
+        prev_raw = None
+        prev_frozen: frozenset = frozenset()
+        for snapshot in archive:
+            raw = snapshot.domain_set()
+            if prev_raw is None:
+                for entry in snapshot.entries:
+                    base = base_of_str(entry)
+                    counts[base] = counts.get(base, 0) + 1
+                frozen = frozenset(counts)
+            else:
+                removed = prev_raw - raw
+                added = raw - prev_raw
+                if removed or added:
+                    for entry in removed:
+                        base = base_of_str(entry)
+                        remaining = counts[base] - 1
+                        if remaining:
+                            counts[base] = remaining
+                        else:
+                            del counts[base]
+                    for entry in added:
+                        base = base_of_str(entry)
+                        counts[base] = counts.get(base, 0) + 1
+                    frozen = frozenset(counts)
+                else:
+                    frozen = prev_frozen
+            result[snapshot.date] = frozen
+            prev_raw = raw
+            prev_frozen = frozen
+        per_archive[name] = result
+    series = {}
+    for date in common_dates:
+        sets = {name: per_day[date] for name, per_day in per_archive.items()}
+        matrix = {}
+        for name_a, name_b in combinations(sorted(sets), 2):
+            matrix[(name_a, name_b)] = len(sets[name_a] & sets[name_b])
+        if len(sets) >= 3:
+            ordered = sorted(sets.values(), key=len)
+            common = ordered[0]
+            for other in ordered[1:]:
+                common = common & other
+            matrix[tuple(sorted(sets))] = len(common)
+        series[date] = matrix
+    return series
+
+
+def _traced_peak(fn):
+    """Run ``fn`` under tracemalloc; return (result, peak_bytes)."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        result = fn()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+class TestColumnarPeakMemory:
+    def test_id_lane_peaks_below_the_string_lane(self, benchmark_run_6d):
+        """Figure 1a on interned id columns allocates less than on strings.
+
+        Both lanes start from fresh, cache-free archives over the same
+        six benchmark days (strings materialised for the string lane,
+        bare id columns for the id lane) after the shared base-id
+        column is warmed, so only the pipelines' own allocations count.
+        """
+        archives = benchmark_run_6d.archives
+        psl = default_list()
+        resolve_base = default_interner().base_column(psl).base_id
+        for archive in archives.values():
+            for snapshot in archive:
+                for domain_id in snapshot.entry_ids():
+                    resolve_base(domain_id)
+        string_archives = {name: ListArchive.from_snapshots(
+            [ListSnapshot(provider=s.provider, date=s.date, entries=s.entries)
+             for s in archive]) for name, archive in archives.items()}
+        columnar_archives = {name: ListArchive.from_snapshots(
+            [ListSnapshot.from_ids(provider=s.provider, date=s.date,
+                                   ids=s.entry_ids()[:]) for s in archive])
+            for name, archive in archives.items()}
+        string_series, string_peak = _traced_peak(
+            lambda: _string_lane_intersection(string_archives, psl))
+        id_series, id_peak = _traced_peak(
+            lambda: intersection_over_time(columnar_archives))
+        assert id_series == string_series
+        assert id_peak < string_peak, (
+            f"columnar peak {id_peak} bytes >= string peak {string_peak}")

@@ -521,9 +521,9 @@ class TestDormantOverhead:
     def test_hot_path_instrumentation_under_two_percent(self, tmp_path):
         # The cached read path gained exactly one plain-int increment
         # (the LRU hit counter); everything else lives at the wire layer
-        # or on miss/ingest paths.  Same loop-minus-noop best-of-rounds
-        # method as benchmarks/run_benchmarks.py --obs, scaled down to
-        # test runtime.
+        # or on miss/ingest paths.  Measured loop-minus-noop,
+        # best-of-rounds, as test_faults.TestDormantOverhead measures the
+        # fault-point guard.
         service = _small_service(tmp_path)
         target = "/v1/domains/a.com/history"
         assert service.handle_request(target).status == 200

@@ -5,13 +5,17 @@ and parameterised over presets, so the *same* store/index/API oracles
 that run on fixture-sized corpora in tier-1 also run — behind the
 ``scale`` marker (``make test-scale``) — on the 100k-entry
 ``paper_bench`` corpus, where chunk-granularity and accidental
-O(day)-materialisation bugs actually surface.  The unparameterised
+O(day)-materialisation bugs actually surface.  ``TestPresetBudgets``
+holds the time and memory budgets of the ``paper_bench`` and
+``full_1m`` regimes (scale-only).  The unparameterised
 classes at the bottom pin the preset registry itself: the values the
 CLI's ``--tiny`` historically meant, the synthetic generator's
 determinism, and the refusal to *simulate* synthetic-only scales.
 """
 
 import random
+import statistics
+import time
 import tracemalloc
 from array import array
 from dataclasses import replace
@@ -20,7 +24,9 @@ from types import SimpleNamespace
 import pytest
 
 import repro.service.store as store_module
-from repro.core.stability import mean_daily_change
+from repro.core.intersection import intersection_over_time
+from repro.core.stability import (cumulative_unique_domains, days_in_list,
+                                  mean_daily_change, new_domains_per_day)
 from repro.interning import default_interner
 from repro.scale import (ScaleConfig, ScaleError, get_scale, scale_names,
                          synthetic_archive, synthetic_archives, universe_ids)
@@ -191,6 +197,100 @@ class TestMemoryCeilings:
                 tracemalloc.stop()
         assert peak < corpus.scale.memory_budget_bytes, \
             f"stability battery peaked at {peak / 1e6:.1f} MB"
+
+
+SCALE_PRESETS = [pytest.param(name, marks=pytest.mark.scale)
+                 for name in ("paper_bench", "full_1m")]
+
+
+def _traced_peak(fn):
+    """Run ``fn`` under tracemalloc; return (result, peak_bytes)."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+@pytest.fixture(scope="module", params=SCALE_PRESETS)
+def ingested(request, tmp_path_factory):
+    """A preset's corpus appended day by day, with each append timed."""
+    scale = get_scale(request.param)
+    archives = synthetic_archives(scale)
+    root = tmp_path_factory.mktemp(f"ingest-{scale.name}") / "store"
+    append_seconds = []
+    with ArchiveStore(root) as store:
+        for provider in sorted(archives):
+            for snapshot in archives[provider]:
+                start = time.perf_counter()
+                store.append(snapshot)
+                append_seconds.append(time.perf_counter() - start)
+        yield SimpleNamespace(scale=scale, archives=archives, store=store,
+                              append_seconds=append_seconds)
+
+
+class TestPresetBudgets:
+    """Time and memory budgets at ``paper_bench`` and ``full_1m``.
+
+    Only ``--run-scale`` runs these: ``full_1m`` generates and stores
+    three 1M-entry providers over 30 days (~200 MB on disk).
+    """
+
+    def test_steady_state_append_under_one_second(self, ingested):
+        # The first append interns every name of the corpus; after it a
+        # day adds only its churned names, the steady state of a
+        # provider tailed day by day.
+        median = statistics.median(ingested.append_seconds[1:])
+        assert median < 1.0, (
+            f"steady-state append of a {ingested.scale.list_size:,}-entry "
+            f"day took {median:.2f}s")
+
+    def test_head_load_is_lazier_than_a_full_day(self, ingested):
+        store, scale = ingested.store, ingested.scale
+        provider = scale.providers[0]
+        last = store.dates(provider)[-1]
+        # Warm once: the lazy id translation tables are store-open cost.
+        store.load_head(provider, last, scale.analysis_top_k)
+        head, head_peak = _traced_peak(
+            lambda: store.load_head(provider, last, scale.analysis_top_k))
+        full, full_peak = _traced_peak(
+            lambda: store.load_snapshot(provider, last))
+        assert len(head) == scale.analysis_top_k
+        assert len(full) == scale.list_size
+        assert head_peak < full_peak / 4, (
+            f"head load peaked at {head_peak} bytes, full day {full_peak}")
+
+    def test_analysis_battery_under_budget_and_churn_exact(self, ingested):
+        scale, archives = ingested.scale, ingested.archives
+        top_k = scale.analysis_top_k
+        first = archives[scale.providers[0]]
+        dates = first.dates()
+        window_days = min(7, scale.n_days)
+
+        def battery():
+            # Full-width churn runs on a window: day-level set analyses
+            # never need the whole period of full-size sets resident.
+            window = first.period(dates[0], dates[window_days - 1])
+            return {
+                "head_change": {p: mean_daily_change(a, top_n=top_k)
+                                for p, a in archives.items()},
+                "head_new": {p: statistics.fmean(
+                                 new_domains_per_day(a, top_n=top_k).values())
+                             for p, a in archives.items()},
+                "cumulative": cumulative_unique_domains(first, top_n=top_k),
+                "tenures": days_in_list(first, top_n=top_k),
+                "intersection": intersection_over_time(
+                    archives, top_n=top_k, normalise=False),
+                "full_width_change": mean_daily_change(window),
+            }
+
+        results, peak = _traced_peak(battery)
+        assert peak < scale.memory_budget_bytes, (
+            f"{scale.name} battery peaked at {peak / 1e6:.0f} MB, budget "
+            f"{scale.memory_budget_bytes / 1e6:.0f} MB")
+        assert results["full_width_change"] == scale.churn_per_day
 
 
 class TestPresetRegistry:

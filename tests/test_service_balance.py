@@ -35,6 +35,7 @@ from repro.providers.base import ListArchive, ListSnapshot
 from repro.service.api import QueryService
 from repro.service.eventloop import EventLoopServer
 from repro.service.balance import Backend, Balancer
+from repro.service.replica import Replica
 from repro.service.store import ArchiveStore
 
 
@@ -335,6 +336,60 @@ class TestRetryIdempotency:
             dead_state = balancer.status()["backends"][0]
             assert dead_state["errors"] == 1
             assert not dead_state["admitted"]
+
+
+class TestWriteRouting:
+    def test_ingests_skip_the_read_only_follower(self, tmp_path):
+        """Every POSTed ingest reaches the leader, none the follower.
+
+        A follower answers ``POST /v1/ingest`` with 403, so plain
+        round-robin over [leader, follower] would fail every other
+        ingest.  The probe's ``role`` keeps writes off the follower
+        while reads still use both.
+        """
+        snapshots = [ListSnapshot("alexa", dt.date(2018, 5, 1), ("a.com",))]
+        leader_store = ArchiveStore.from_archives(
+            tmp_path / "leader",
+            {"alexa": ListArchive.from_snapshots(snapshots)})
+        leader = QueryService(leader_store)
+        follower_store = ArchiveStore(tmp_path / "follower")
+        follower = QueryService(follower_store, role="follower")
+
+        def fetch(since, limit):
+            return leader.handle_request(
+                f"/v1/replication/log?since={since}&max={limit}").json()
+
+        replica = Replica(follower_store, fetch, sleep=lambda s: None)
+        follower.attach_replica(replica)
+        replica.sync_to_leader()
+        servers = [EventLoopServer(leader), EventLoopServer(follower)]
+        for server in servers:
+            threading.Thread(target=server.serve_forever, daemon=True).start()
+        try:
+            before = leader_store.version
+            with Balancer(_urls(servers), check_interval=0.1) as balancer:
+                base = f"http://127.0.0.1:{balancer.port}"
+                for day in range(6):
+                    payload = json.dumps({
+                        "provider": "alexa",
+                        "date": f"2018-05-{day + 2:02d}",
+                        "entries": ["a.com", f"day{day}.org"]}).encode()
+                    status, body = _post(base + "/v1/ingest", payload)
+                    assert status == 200, body
+                state = json.loads(_get(base + "/v1/balancer")[1])
+                for _ in range(4):
+                    assert _get(base + "/v1/meta")[0] == 200
+                counts = [b["requests"] for b in balancer.status()["backends"]]
+            assert leader_store.version == before + 6
+            assert [b["role"] for b in state["backends"]] == \
+                ["leader", "follower"]
+            assert counts[1] == 2  # reads still round-robin over both
+        finally:
+            for server in servers:
+                server.shutdown()
+                server.server_close()
+            leader_store.close()
+            follower_store.close()
 
 
 class TestContentLengthValidation:

@@ -17,6 +17,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.obs.metrics import parse_exposition
 from repro.providers.base import ListArchive, ListSnapshot
 from repro.service.api import QueryService
 from repro.service.eventloop import EventLoopServer
@@ -188,7 +189,7 @@ class TestFdExhaustion:
         With every descriptor taken, ``accept`` fails with EMFILE while
         the listen socket stays readable; a loop that kept watching it
         would burn a core.  Once fds free up, the waiting client is
-        accepted and answered.
+        accepted and answered, and ``/v1/metrics`` counts the pause.
         """
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
@@ -218,7 +219,12 @@ class TestFdExhaustion:
                     cpu_seconds("free")
                     with sock.makefile("rb") as reader:
                         status, _, body = _read_response(reader)
+                        assert status == 200
+                        assert b'"store_version"' in body
+                        sock.sendall(_get("/v1/metrics"))
+                        status, _, body = _read_response(reader)
                     assert status == 200
-                    assert b'"store_version"' in body
+                    samples = parse_exposition(body.decode("utf-8"))
+                    assert samples["repro_http_accept_pauses_total"] >= 1
             finally:
                 proc.kill()

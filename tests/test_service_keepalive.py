@@ -133,6 +133,22 @@ class TestCleanErrorsKeepAlive:
         assert len(responses) == 20
         assert [status for status, _, _ in responses] == \
             [200, 404, 200, 404] * 5
+        # Each answer equals the same request sent on its own connection.
+        alone = [_request(_port(keepalive_server), [payload])[0]
+                 for payload in cycle]
+        assert [body for _, _, body in responses] == \
+            [body for _, _, body in alone] * 5
+        # The same burst pipelined in one write: answered in order, each
+        # framed by its Content-Length, nothing left over.
+        with socket.create_connection(
+                ("127.0.0.1", _port(keepalive_server)), timeout=10) as sock:
+            sock.sendall(b"".join(cycle * 5))
+            sock.shutdown(socket.SHUT_WR)
+            with sock.makefile("rb") as reader:
+                pipelined = [_read_response(reader) for _ in range(20)]
+                assert reader.read() == b""
+        assert [(status, body) for status, _, body in pipelined] == \
+            [(status, body) for status, _, body in responses]
 
 
 class TestProtocolFailuresClose:
